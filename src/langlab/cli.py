@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error (bad flags, bad spec file),
-3 input error (missing or unreadable files), 4 runtime failure.
+3 input error (missing, unreadable or malformed files), 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_transform(args) -> int:
     kind = TransformKind(args.kind)
-    count = transform_file(kind, args.infile, args.out, chunk_size=args.chunk,
-                           normalize=args.normalize)
+    count = transform_file(kind, args.infile, args.out, normalize=args.normalize)
     print(f"wrote {count} sentences to {args.out}")
     return EXIT_OK
 
@@ -54,12 +53,8 @@ def _cmd_train(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     longest = max(e.length for e in encoded)
-    if args.arch == "transformer":
-        config = models.TransformerConfig(vocab=len(vocab), seed=args.seed,
-                                          max_seq=max(longest, 16))
-    else:
-        config = models.LstmConfig(vocab=len(vocab), seed=args.seed)
-    params = models.init_model(config)
+    spec = harness.ExperimentSpec(arch=args.arch, max_seq=max(longest, 16))
+    params = models.init_model(harness.model_config(spec, len(vocab), args.seed))
     train_cfg = training.TrainingConfig(
         total_steps=args.steps, peak_lr=args.peak_lr, batch_size=args.batch_size,
         warmup_fraction=args.warmup_fraction, eval_every=args.eval_every,
@@ -169,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[k.value for k in TransformKind])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--chunk", type=int, default=4096)
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=_cmd_transform)
 
@@ -235,10 +229,7 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except harness.InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (harness.InputError, models.CheckpointError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

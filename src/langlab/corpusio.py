@@ -7,7 +7,9 @@ from typing import Iterable, Iterator
 
 from .grammar import Sentence
 
-__all__ = ["write_corpus", "read_corpus", "iter_corpus"]
+__all__ = ["write_corpus", "read_corpus", "iter_corpus", "normalize_line"]
+
+_TERMINAL_PUNCTUATION = ".!?,;:"
 
 
 def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
@@ -17,14 +19,24 @@ def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
             fh.write("\n")
 
 
-def iter_corpus(path: str | Path) -> Iterator[Sentence]:
-    """Stream sentences from a corpus file, skipping blank lines."""
+def normalize_line(line: str) -> str:
+    """Ingest normalization for raw external text: lowercase, strip terminal
+    punctuation from the end of the line, collapse whitespace."""
+    line = line.strip().lower()
+    while line and line[-1] in _TERMINAL_PUNCTUATION:
+        line = line[:-1].rstrip()
+    return " ".join(line.split())
+
+
+def iter_corpus(path: str | Path, normalize: bool = False) -> Iterator[Sentence]:
+    """Stream sentences from a corpus file, skipping blank lines; with
+    ``normalize``, each line goes through normalize_line first."""
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.rstrip("\n")
+            line = normalize_line(line) if normalize else line.rstrip("\n")
             if line:
                 yield Sentence(tuple(line.split(" ")))
 
 
-def read_corpus(path: str | Path) -> list[Sentence]:
-    return list(iter_corpus(path))
+def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
+    return list(iter_corpus(path, normalize))

@@ -22,7 +22,7 @@ import numpy as np
 from . import corpusio, models, plots, stats, tokenizer, training
 from .grammar import GenerationConfig, Sentence, default_grammar, generate_corpus
 from .training import MetricSeries, TrainingConfig
-from .transforms import TransformKind, apply_transform, normalize_line
+from .transforms import TransformKind, apply_transform
 
 __all__ = [
     "ConfigError",
@@ -32,6 +32,7 @@ __all__ = [
     "RunReport",
     "LinearitySummary",
     "run_experiment",
+    "model_config",
     "emit_report",
     "linearity_gradient_summary",
     "render_text_report",
@@ -176,12 +177,7 @@ def _load_base_corpus(spec: ExperimentSpec) -> list[Sentence]:
     path = Path(spec.corpus_file)
     if not path.is_file():
         raise InputError(f"corpus file not found: {path}")
-    sentences = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            text = normalize_line(raw)
-            if text:
-                sentences.append(Sentence(tuple(text.split(" "))))
+    sentences = corpusio.read_corpus(path, normalize=True)
     if not sentences:
         raise InputError(f"corpus file is empty: {path}")
     return sentences
@@ -196,7 +192,8 @@ def _split_indices(n: int, heldout_fraction: float, seed: int):
     return train, held
 
 
-def _model_config(spec: ExperimentSpec, vocab: int, seed: int):
+def model_config(spec: ExperimentSpec, vocab: int, seed: int):
+    """The model config of spec.arch with the spec's shapes."""
     if spec.arch == "transformer":
         return models.TransformerConfig(
             layers=spec.t_layers, model_dim=spec.t_dim, heads=spec.t_heads,
@@ -223,6 +220,11 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     train_idx, held_idx = _split_indices(
         len(base), spec.heldout_fraction, spec.corpus_seed
     )
+    if not train_idx:
+        raise ConfigError(
+            f"corpus has {len(base)} sentence(s) and holding out {len(held_idx)} "
+            f"leaves none for training; use a larger corpus"
+        )
 
     group_results: dict[str, GroupResult] = {}
     all_series: dict[str, list[MetricSeries]] = {}
@@ -239,11 +241,12 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         enc_train = [tokenizer.encode(vocab, s) for s in train_sents]
         enc_held = [tokenizer.encode(vocab, s) for s in held_sents]
 
-        longest = max(e.length for e in enc_train + enc_held)
-        if spec.arch == "transformer" and longest > spec.max_seq:
+        # the model reads every token but the last
+        width = max(e.length for e in enc_train + enc_held) - 1
+        if spec.arch == "transformer" and width > spec.max_seq:
             raise ConfigError(
-                f"encoded sentence length {longest} exceeds max_seq {spec.max_seq}; "
-                f"raise max_seq or use packed grouping"
+                f"group {group}: model input width {width} exceeds max_seq "
+                f"{spec.max_seq}; raise max_seq"
             )
 
         result = GroupResult(
@@ -256,7 +259,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         for seed in spec.seeds:
             run_dir = out / "runs" / group / f"seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            params = models.init_model(_model_config(spec, len(vocab), seed))
+            params = models.init_model(model_config(spec, len(vocab), seed))
             cfg = dataclasses.replace(spec.training, seed=seed)
             _log(f"[langlab] training {spec.arch} group={group} seed={seed} "
                  f"steps={cfg.total_steps}")
@@ -339,6 +342,15 @@ def linearity_gradient_summary(report: RunReport) -> LinearitySummary:
     return LinearitySummary(ranking=ranking, parity_below_reversed=flag)
 
 
+def _curve_rows(series_list: list[MetricSeries], metric: str,
+                limit: int | None = None):
+    """(step, one value per seed) for each logged step up to step limit."""
+    for i, r in enumerate(series_list[0].records):
+        if limit is not None and r.step > limit:
+            return
+        yield r.step, [getattr(s.records[i], metric) for s in series_list]
+
+
 def _write_curves(out: Path, all_series: dict[str, list[MetricSeries]],
                   spec: ExperimentSpec) -> None:
     for group, series_list in all_series.items():
@@ -348,15 +360,9 @@ def _write_curves(out: Path, all_series: dict[str, list[MetricSeries]],
                 with open(path, "w", encoding="utf-8", newline="\n") as fh:
                     fh.write("step," + ",".join(
                         f"seed{s.seed}" for s in series_list) + "\n")
-                    steps = [r.step for r in series_list[0].records]
-                    for row_i, step in enumerate(steps):
-                        if limit is not None and step > limit:
-                            break
-                        vals = ",".join(
-                            f"{getattr(s.records[row_i], metric):.17g}"
-                            for s in series_list
-                        )
-                        fh.write(f"{step},{vals}\n")
+                    for step, vals in _curve_rows(series_list, metric, limit):
+                        fh.write(f"{step}," + ",".join(f"{v:.17g}" for v in vals)
+                                 + "\n")
 
 
 def _write_tables(out: Path, report: RunReport) -> None:
@@ -375,15 +381,9 @@ def _write_tables(out: Path, report: RunReport) -> None:
 
 def _mean_curve(series_list: list[MetricSeries], metric: str,
                 limit: int | None = None):
-    steps = [r.step for r in series_list[0].records]
-    xs, ys = [], []
-    for i, step in enumerate(steps):
-        if limit is not None and step > limit:
-            break
-        xs.append(step)
-        ys.append(sum(getattr(s.records[i], metric) for s in series_list)
-                  / len(series_list))
-    return xs, ys
+    rows = list(_curve_rows(series_list, metric, limit))
+    return ([step for step, _ in rows],
+            [sum(vals) / len(vals) for _, vals in rows])
 
 
 def _write_plots(out: Path, all_series: dict[str, list[MetricSeries]],

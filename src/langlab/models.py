@@ -11,6 +11,7 @@ untied output projection.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,9 +31,14 @@ __all__ = [
     "parameter_count",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointError",
 ]
 
 MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that does not match the binary layout."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +50,6 @@ class TransformerConfig:
     max_seq: int = 16
     vocab: int = 128
     seed: int = 0
-    dropout: float = 0.0
 
     def validate(self) -> None:
         if min(self.layers, self.model_dim, self.heads, self.ff_dim,
@@ -63,7 +68,6 @@ class LstmConfig:
     embed_dim: int = 64
     vocab: int = 128
     seed: int = 0
-    dropout: float = 0.0
 
     def validate(self) -> None:
         if min(self.layers, self.hidden_dim, self.embed_dim, self.vocab) < 1:
@@ -75,9 +79,6 @@ class ModelParameters:
     arch: str  # "transformer" | "lstm"
     config: TransformerConfig | LstmConfig
     tensors: dict[str, Tensor]
-
-    def named(self) -> dict[str, Tensor]:
-        return self.tensors
 
 
 def parameter_count(params: ModelParameters) -> int:
@@ -152,16 +153,8 @@ def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
     raise TypeError(f"unsupported config type: {type(config).__name__}")
 
 
-def _dropout(tape: Tape, x: Tensor, p_drop: float,
-             rng: np.random.Generator | None) -> Tensor:
-    if p_drop <= 0.0 or rng is None:
-        return x
-    keep = (rng.random(x.shape) >= p_drop) / (1.0 - p_drop)
-    return tape.mul(x, Tensor(keep))
-
-
-def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
-                        dropout_rng: np.random.Generator | None = None) -> Tensor:
+def transformer_forward(params: ModelParameters, ids: np.ndarray,
+                        tape: Tape) -> Tensor:
     """Logits [batch, positions, vocab] under causal masked attention."""
     cfg: TransformerConfig = params.config
     p = params.tensors
@@ -175,7 +168,6 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
     x = tape.embedding_lookup(p["tok_emb"], ids)
     pos = tape.slice_axis(p["pos_emb"], 0, 0, seq)
     x = tape.add_bias(x, pos)
-    x = _dropout(tape, x, cfg.dropout, dropout_rng)
 
     causal = np.where(np.tril(np.ones((seq, seq), dtype=bool)), 0.0, MASK_FILL)
     mask = Tensor(np.broadcast_to(causal, (batch, seq, seq)).copy())
@@ -203,7 +195,6 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
         merged2 = tape.reshape(merged, (batch * seq, d))
         proj = tape.reshape(linear(merged2, pre + "attn.wo", pre + "attn.bo"),
                             (batch, seq, d))
-        proj = _dropout(tape, proj, cfg.dropout, dropout_rng)
         x = tape.add(x, proj)
 
         h = tape.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -211,7 +202,6 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
         ff = tape.gelu(linear(h2, pre + "ff.w1", pre + "ff.b1"))
         ff = tape.add_bias(tape.matmul(ff, p[pre + "ff.w2"]), p[pre + "ff.b2"])
         ff = tape.reshape(ff, (batch, seq, d))
-        ff = _dropout(tape, ff, cfg.dropout, dropout_rng)
         x = tape.add(x, ff)
 
     x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
@@ -220,8 +210,7 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
     return tape.reshape(logits, (batch, seq, cfg.vocab))
 
 
-def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
-                 dropout_rng: np.random.Generator | None = None) -> Tensor:
+def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor:
     """Logits [batch, positions, vocab] from the stacked LSTM recurrence."""
     cfg: LstmConfig = params.config
     p = params.tensors
@@ -236,7 +225,6 @@ def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
     for t in range(seq):
         x = tape.reshape(tape.slice_axis(emb, 1, t, t + 1), (batch, cfg.embed_dim))
         for i in range(cfg.layers):
-            x = _dropout(tape, x, cfg.dropout, dropout_rng)
             z = tape.add_bias(
                 tape.add(tape.matmul(x, p[f"l{i}.wx"]),
                          tape.matmul(hidden[i], p[f"l{i}.wh"])),
@@ -254,12 +242,11 @@ def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
     return tape.concat(step_logits, axis=1)
 
 
-def forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
-            dropout_rng: np.random.Generator | None = None) -> Tensor:
+def forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor:
     if params.arch == "transformer":
-        return transformer_forward(params, ids, tape, dropout_rng)
+        return transformer_forward(params, ids, tape)
     if params.arch == "lstm":
-        return lstm_forward(params, ids, tape, dropout_rng)
+        return lstm_forward(params, ids, tape)
     raise ValueError(f"unknown architecture tag: {params.arch!r}")
 
 
@@ -297,25 +284,28 @@ def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParameters:
-    blob = Path(path).read_bytes()
+    blob = memoryview(Path(path).read_bytes())
     pos = 0
 
-    def read_u32():
+    def take(n: int) -> memoryview:
         nonlocal pos
-        (v,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        return v
+        if n > len(blob) - pos:
+            raise CheckpointError(
+                f"{path}: truncated at byte offset {pos}: {n} bytes needed, "
+                f"{len(blob) - pos} left"
+            )
+        pos += n
+        return blob[pos - n:pos]
+
+    def read_u32():
+        return struct.unpack("<I", take(4))[0]
 
     def read_str():
-        nonlocal pos
-        n = read_u32()
-        s = blob[pos:pos + n].decode("utf-8")
-        pos += n
-        return s
+        return str(take(read_u32()), "utf-8")
 
     arch = read_str()
     if arch not in _CONFIG_TYPES:
-        raise ValueError(f"unknown architecture tag in checkpoint: {arch!r}")
+        raise CheckpointError(f"{path}: unknown architecture tag {arch!r}")
     cfg_cls = _CONFIG_TYPES[arch]
     raw = {}
     for _ in range(read_u32()):
@@ -330,12 +320,15 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     for _ in range(read_u32()):
         name = read_str()
         rank = read_u32()
-        dims = struct.unpack_from(f"<{rank}Q", blob, pos)
-        pos += 8 * rank
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(dims)
-        pos += 8 * count
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        count = math.prod(dims)
+        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
         tensors[name] = Tensor(data.copy(), requires_grad=True)
+    if pos != len(blob):
+        raise CheckpointError(
+            f"{path}: {len(blob) - pos} trailing bytes after the last tensor, "
+            f"from byte offset {pos}"
+        )
     return ModelParameters(arch, config, tensors)
 
 

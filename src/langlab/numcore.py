@@ -45,17 +45,14 @@ _BackwardFn = Callable[[np.ndarray], tuple]
 class Tape:
     """Ordered record of executed ops; single-threaded by design."""
 
-    def __init__(self, record: bool = True, check_finite: bool = False):
+    def __init__(self, record: bool = True):
         self.record = record
-        self.check_finite = check_finite
         self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
 
     # ------------------------------------------------------------------ core
 
-    def _emit(self, name: str, out_data: np.ndarray, inputs: tuple[Tensor, ...],
+    def _emit(self, out_data: np.ndarray, inputs: tuple[Tensor, ...],
               bwd: _BackwardFn) -> Tensor:
-        if self.check_finite and not np.all(np.isfinite(out_data)):
-            raise FloatingPointError(f"{name}: non-finite value in forward output")
         out = Tensor(out_data)
         if self.record and any(t.requires_grad for t in inputs):
             out.requires_grad = True
@@ -78,16 +75,16 @@ class Tape:
             for t, gi in zip(inputs, bwd(g)):
                 if gi is None or not t.requires_grad:
                     continue
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += gi
+                # never in place: a backward rule may return one array for
+                # several inputs (add returns g twice)
+                t.grad = gi if t.grad is None else t.grad + gi
 
     # ------------------------------------------------------- elementwise ops
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
-        return self._emit("add", a.data + b.data, (a, b), lambda g: (g, g))
+        return self._emit(a.data + b.data, (a, b), lambda g: (g, g))
 
     def add_bias(self, a: Tensor, b: Tensor) -> Tensor:
         """a + b with b broadcast over a's leading axes (b matches a's trailing dims)."""
@@ -99,26 +96,26 @@ class Tape:
         def bwd(g):
             return g, g.sum(axis=lead) if lead else g
 
-        return self._emit("add_bias", a.data + b.data, (a, b), bwd)
+        return self._emit(a.data + b.data, (a, b), bwd)
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
-        return self._emit("mul", a.data * b.data, (a, b),
+        return self._emit(a.data * b.data, (a, b),
                           lambda g: (g * b.data, g * a.data))
 
     def scale(self, a: Tensor, c: float) -> Tensor:
-        return self._emit("scale", a.data * c, (a,), lambda g: (g * c,))
+        return self._emit(a.data * c, (a,), lambda g: (g * c,))
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.data)
-        return self._emit("tanh", y, (a,), lambda g: (g * (1.0 - y * y),))
+        return self._emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
     def sigmoid(self, a: Tensor) -> Tensor:
         x = a.data
         y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return self._emit("sigmoid", y, (a,), lambda g: (g * y * (1.0 - y),))
+        return self._emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
     def gelu(self, a: Tensor) -> Tensor:
         """Gaussian error linear unit, tanh approximation."""
@@ -132,7 +129,7 @@ class Tape:
             du = c * (1.0 + 3 * 0.044715 * x ** 2)
             return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
-        return self._emit("gelu", y, (a,), bwd)
+        return self._emit(y, (a,), bwd)
 
     # ------------------------------------------------------- structural ops
 
@@ -152,20 +149,20 @@ class Tape:
                 np.matmul(a.data.swapaxes(-1, -2), g),
             )
 
-        return self._emit("matmul", np.matmul(a.data, b.data), (a, b), bwd)
+        return self._emit(np.matmul(a.data, b.data), (a, b), bwd)
 
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes."""
         if a.data.ndim < 2:
             raise ShapeError(f"transpose: need rank >= 2, got shape {a.shape}")
-        return self._emit("transpose", a.data.swapaxes(-1, -2), (a,),
+        return self._emit(a.data.swapaxes(-1, -2), (a,),
                           lambda g: (g.swapaxes(-1, -2),))
 
     def reshape(self, a: Tensor, shape: Sequence[int]) -> Tensor:
         shape = tuple(shape)
         if int(np.prod(shape, dtype=np.int64)) != a.data.size:
             raise ShapeError(f"reshape: {a.shape} to {shape}")
-        return self._emit("reshape", a.data.reshape(shape), (a,),
+        return self._emit(a.data.reshape(shape), (a,),
                           lambda g: (g.reshape(a.shape),))
 
     def concat(self, parts: Sequence[Tensor], axis: int) -> Tensor:
@@ -183,7 +180,7 @@ class Tape:
         def bwd(g):
             return tuple(np.split(g, offsets, axis=axis))
 
-        return self._emit("concat", np.concatenate([p.data for p in parts], axis=axis),
+        return self._emit(np.concatenate([p.data for p in parts], axis=axis),
                           tuple(parts), bwd)
 
     def slice_axis(self, a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -198,7 +195,7 @@ class Tape:
             full[sl] = g
             return (full,)
 
-        return self._emit("slice_axis", a.data[sl], (a,), bwd)
+        return self._emit(a.data[sl], (a,), bwd)
 
     def embedding_lookup(self, table: Tensor, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
@@ -214,7 +211,7 @@ class Tape:
             np.add.at(gt, ids.ravel(), g.reshape(-1, table.shape[1]))
             return (gt,)
 
-        return self._emit("embedding_lookup", table.data[ids], (table,), bwd)
+        return self._emit(table.data[ids], (table,), bwd)
 
     # ----------------------------------------------------------- row-wise ops
 
@@ -227,7 +224,7 @@ class Tape:
         def bwd(g):
             return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
-        return self._emit("softmax", y, (a,), bwd)
+        return self._emit(y, (a,), bwd)
 
     def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-5) -> Tensor:
@@ -251,13 +248,13 @@ class Tape:
             dbias = g.sum(axis=lead) if lead else g
             return dx, dgain, dbias
 
-        return self._emit("layer_norm", xhat * gain.data + bias.data,
+        return self._emit(xhat * gain.data + bias.data,
                           (a, gain, bias), bwd)
 
     # ------------------------------------------------------------- reductions
 
     def sum_all(self, a: Tensor) -> Tensor:
-        return self._emit("sum_all", np.asarray(a.data.sum()), (a,),
+        return self._emit(np.asarray(a.data.sum()), (a,),
                           lambda g: (g * np.ones_like(a.data),))
 
     def cross_entropy(self, logits: Tensor, targets: np.ndarray,
@@ -294,7 +291,7 @@ class Tape:
             p[~mask] = 0.0
             return ((float(g) / n) * p.reshape(logits.shape),)
 
-        return self._emit("cross_entropy", np.asarray(loss), (logits,), bwd)
+        return self._emit(np.asarray(loss), (logits,), bwd)
 
 
 def finite_difference_check(

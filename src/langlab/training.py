@@ -9,6 +9,7 @@ reproduces the metric series byte for byte.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -161,6 +162,10 @@ class AdamOptimizer:
             tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+# the largest loss whose perplexity exp(loss) is a finite float
+_MAX_LOSS = math.log(sys.float_info.max)
+
+
 def _pad_batch(seqs: Sequence[tuple[int, ...]]) -> np.ndarray:
     width = max(len(s) for s in seqs)
     arr = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
@@ -228,13 +233,19 @@ def train(
         tape = Tape()
         logits = models.forward(params, batch[:, :-1], tape)
         loss = tape.cross_entropy(logits, batch[:, 1:], ignore_id=PAD_ID)
+        loss_value = float(loss.data)
+        if not loss_value < _MAX_LOSS:
+            raise FloatingPointError(
+                f"training diverged at step {step} (group {group!r}, "
+                f"seed {config.seed}): loss {loss_value!r}"
+            )
         tape.backward(loss)
         grads = {name: t.grad for name, t in params.tensors.items()
                  if t.grad is not None}
         lr = lr_schedule(step, config)
         optimizer.step(params, grads, step, lr)
         if step % config.eval_every == 0:
-            series.append(step, float(loss.data), lr)
+            series.append(step, loss_value, lr)
     return series, params
 
 

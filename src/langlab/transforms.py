@@ -12,6 +12,7 @@ import enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .corpusio import iter_corpus, normalize_line
 from .grammar import Sentence
 
 __all__ = [
@@ -27,8 +28,6 @@ __all__ = [
 ]
 
 NOT_TOKEN = "NOT"
-
-_TERMINAL_PUNCTUATION = ".!?,;:"
 
 
 class TransformKind(enum.Enum):
@@ -69,72 +68,28 @@ def invert_parity_negation(s: Sentence) -> Sentence:
     raise TransformError("not a parity-negation sentence")
 
 
-def transform_corpus(
-    kind: TransformKind,
-    sentences: Iterable[Sentence],
-    chunk_size: int = 4096,
-) -> Iterator[Sentence]:
-    """Streaming per-line transform; memory bounded by chunk_size.
-
-    The output is independent of chunk_size (the transform is per-sentence);
-    per-line failures are reported with their 1-based line number.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    chunk: list[Sentence] = []
-    line_no = 0
-    done = 0
-    it = iter(sentences)
-    while True:
-        chunk.clear()
-        for s in it:
-            chunk.append(s)
-            if len(chunk) >= chunk_size:
-                break
-        if not chunk:
-            return
-        out: list[Sentence] = []
-        for s in chunk:
-            line_no = done + len(out) + 1
-            try:
-                out.append(apply_transform(kind, s))
-            except TransformError as exc:
-                raise TransformError(f"line {line_no}: {exc}") from exc
-        done += len(out)
-        yield from out
-
-
-def normalize_line(line: str) -> str:
-    """Ingest normalization for raw external text: lowercase, strip terminal
-    punctuation from the end of the line, collapse whitespace."""
-    line = line.strip().lower()
-    while line and line[-1] in _TERMINAL_PUNCTUATION:
-        line = line[:-1].rstrip()
-    return " ".join(line.split())
+def transform_corpus(kind: TransformKind,
+                     sentences: Iterable[Sentence]) -> Iterator[Sentence]:
+    """Streaming per-sentence transform; a failure is reported with the
+    1-based line number of its sentence."""
+    for line_no, s in enumerate(sentences, 1):
+        try:
+            out = apply_transform(kind, s)
+        except TransformError as exc:
+            raise TransformError(f"line {line_no}: {exc}") from exc
+        yield out
 
 
 def transform_file(
     kind: TransformKind,
     in_path: str | Path,
     out_path: str | Path,
-    chunk_size: int = 4096,
     normalize: bool = False,
 ) -> int:
     """Transform a corpus file line by line; returns the line count written."""
     written = 0
-    with open(in_path, "r", encoding="utf-8") as src, open(
-        out_path, "w", encoding="utf-8", newline="\n"
-    ) as dst:
-
-        def lines() -> Iterator[Sentence]:
-            for raw in src:
-                text = raw.rstrip("\n")
-                if normalize:
-                    text = normalize_line(text)
-                if text:
-                    yield Sentence(tuple(text.split(" ")))
-
-        for sentence in transform_corpus(kind, lines(), chunk_size):
+    with open(out_path, "w", encoding="utf-8", newline="\n") as dst:
+        for sentence in transform_corpus(kind, iter_corpus(in_path, normalize)):
             dst.write(sentence.text)
             dst.write("\n")
             written += 1

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import pytest
 
 from langlab import cli
-from langlab.corpusio import read_corpus
+from langlab.corpusio import read_corpus, write_corpus
+from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
 from langlab.harness import (
     ConfigError,
     ExperimentSpec,
@@ -18,6 +20,7 @@ from langlab.harness import (
     render_text_report,
     run_experiment,
 )
+from langlab.models import LstmConfig, init_model, save_checkpoint
 from langlab.training import MetricSeries, TrainingConfig
 from langlab.transforms import NOT_TOKEN
 
@@ -295,7 +298,7 @@ def test_cli_generate_and_transform(tmp_path, capsys):
     assert len(corpus.read_text().splitlines()) == 50
     out = tmp_path / "rev.txt"
     assert cli.main(["transform", "--kind", "reverse", "--in", str(corpus),
-                     "--out", str(out), "--chunk", "7"]) == 0
+                     "--out", str(out)]) == 0
     back = tmp_path / "back.txt"
     assert cli.main(["transform", "--kind", "reverse", "--in", str(out),
                      "--out", str(back)]) == 0
@@ -357,3 +360,51 @@ def test_cli_error_codes(tmp_path, capsys):
     bad.write_text("nonsense\n")
     assert cli.main(["stats", "--a", str(bad), "--b", str(bad)]) \
         == cli.EXIT_RUNTIME
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bad_inputs")
+    write_corpus(d / "c.txt", generate_corpus(default_grammar(),
+                                              GenerationConfig(count=60, seed=3)))
+    (d / "unknown.spec").write_text("bogus_key = 1\n")
+    (d / "short.spec").write_text("max_seq = 4\n")
+    ckpt = d / "good.ckpt"
+    save_checkpoint(init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8)), ckpt)
+    blob = ckpt.read_bytes()
+    (d / "truncated.ckpt").write_bytes(blob[:-5])
+    (d / "doubled.ckpt").write_bytes(blob + blob)
+    return d
+
+
+def _eval_args(ckpt):
+    return ["eval", "--checkpoint", "{d}/" + ckpt, "--vocab", "{d}/v.txt",
+            "--corpus", "{d}/c.txt"]
+
+
+_TINY_EXPERIMENT = ["--seeds", "1", "--steps", "2", "--out-dir", "{d}/exp"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["experiment", "--spec", "{d}/unknown.spec"],
+                 cli.EXIT_CONFIG, "unknown spec key: 'bogus_key'", id="unknown-key"),
+    pytest.param(["experiment", "--corpus-count", "1", *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, "leaves none for training", id="small-corpus"),
+    pytest.param(["experiment", "--spec", "{d}/short.spec", "--corpus-count", "40",
+                  *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"input width \d+ exceeds max_seq 4; raise max_seq$",
+                 id="too-long"),
+    pytest.param(["train", "--corpus", "{d}/absent.txt", "--out-dir", "{d}/t"],
+                 cli.EXIT_INPUT, r"absent\.txt", id="missing-corpus"),
+    pytest.param(_eval_args("truncated.ckpt"), cli.EXIT_INPUT,
+                 r"truncated\.ckpt: truncated at byte offset \d+", id="truncated-ckpt"),
+    pytest.param(_eval_args("doubled.ckpt"), cli.EXIT_INPUT,
+                 r"doubled\.ckpt: \d+ trailing bytes .* byte offset \d+",
+                 id="trailing-bytes-ckpt"),
+    pytest.param(["train", "--corpus", "{d}/c.txt", "--peak-lr", "50", "--steps", "30",
+                  "--batch-size", "16", "--seed", "5", "--out-dir", "{d}/lr"],
+                 cli.EXIT_RUNTIME, r"diverged at step \d+ .*seed 5", id="diverged"),
+])
+def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
+    assert cli.main([a.format(d=bad_inputs) for a in argv]) == code
+    assert re.search(message, capsys.readouterr().err.strip())

@@ -188,19 +188,6 @@ def test_transformer_golden_logits():
     assert np.max(np.abs(out.data - golden)) < 1e-12
 
 
-def test_dropout_changes_forward_only_with_rng():
-    cfg = TransformerConfig(layers=1, model_dim=16, heads=2, ff_dim=32,
-                            max_seq=8, vocab=16, seed=3, dropout=0.5)
-    params = init_model(cfg)
-    plain = transformer_forward(params, IDS, Tape(record=False)).data
-    again = transformer_forward(params, IDS, Tape(record=False)).data
-    assert plain.tobytes() == again.tobytes()  # no rng: dropout inactive
-    dropped = transformer_forward(
-        params, IDS, Tape(record=False), dropout_rng=np.random.default_rng(0)
-    ).data
-    assert not np.array_equal(dropped, plain)
-
-
 # --------------------------------------------------------------- checkpoint
 
 

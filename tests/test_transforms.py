@@ -143,31 +143,20 @@ def test_transforms_on_generated_corpus(small_corpus):
 
 
 def test_transform_corpus_line_count(small_corpus):
-    out = list(transform_corpus(TransformKind.REVERSE, small_corpus, 512))
+    out = list(transform_corpus(TransformKind.REVERSE, small_corpus))
     assert len(out) == len(small_corpus)
 
 
-def test_transform_corpus_chunk_independence(small_corpus):
-    a = list(transform_corpus(TransformKind.PARITY_NEGATION, small_corpus, 1))
-    b = list(transform_corpus(TransformKind.PARITY_NEGATION, small_corpus, 4096))
-    assert a == b
-
-
 def test_transform_corpus_round_trip(small_corpus):
-    once = transform_corpus(TransformKind.REVERSE, small_corpus, 64)
-    twice = list(transform_corpus(TransformKind.REVERSE, once, 128))
+    once = transform_corpus(TransformKind.REVERSE, small_corpus)
+    twice = list(transform_corpus(TransformKind.REVERSE, once))
     assert [s.words for s in twice] == [s.words for s in small_corpus]
 
 
 def test_transform_corpus_error_carries_line_number():
     sentences = [sent("the girl runs"), Sentence(("ok", NOT_TOKEN))]
     with pytest.raises(TransformError, match="line 2: reserved token present"):
-        list(transform_corpus(TransformKind.REVERSE, sentences, 10))
-
-
-def test_transform_corpus_rejects_bad_chunk(small_corpus):
-    with pytest.raises(ValueError, match="chunk_size"):
-        list(transform_corpus(TransformKind.REVERSE, small_corpus, 0))
+        list(transform_corpus(TransformKind.REVERSE, sentences))
 
 
 def test_transform_file_round_trip(tmp_path, small_corpus):
@@ -175,9 +164,9 @@ def test_transform_file_round_trip(tmp_path, small_corpus):
     mid = tmp_path / "mid.txt"
     back = tmp_path / "back.txt"
     write_corpus(src, small_corpus)
-    n = transform_file(TransformKind.REVERSE, src, mid, chunk_size=100)
+    n = transform_file(TransformKind.REVERSE, src, mid)
     assert n == len(small_corpus)
-    transform_file(TransformKind.REVERSE, mid, back, chunk_size=7)
+    transform_file(TransformKind.REVERSE, mid, back)
     assert back.read_bytes() == src.read_bytes()
 
 
