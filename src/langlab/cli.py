@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
 from .grammar import GenerationConfig, default_grammar, generate_corpus
-from .transforms import TransformKind, transform_file
+from .transforms import TransformError, TransformKind, transform_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +60,11 @@ def _cmd_train(args) -> int:
         warmup_fraction=args.warmup_fraction, eval_every=args.eval_every,
         seed=args.seed,
     )
-    series, params = training.train(params, encoded, train_cfg)
+    try:
+        series, params = training.train(params, encoded, train_cfg)
+    except training.DivergenceError as exc:
+        exc.series.to_csv(out_dir / "metrics.csv")
+        raise
     series.to_csv(out_dir / "metrics.csv")
     models.save_checkpoint(params, out_dir / "model.ckpt")
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")
@@ -229,7 +233,8 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (harness.InputError, models.CheckpointError, FileNotFoundError) as exc:
+    except (harness.InputError, models.CheckpointError, TransformError,
+            FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

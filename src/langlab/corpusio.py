@@ -28,15 +28,17 @@ def normalize_line(line: str) -> str:
     return " ".join(line.split())
 
 
-def iter_corpus(path: str | Path, normalize: bool = False) -> Iterator[Sentence]:
-    """Stream sentences from a corpus file, skipping blank lines; with
-    ``normalize``, each line goes through normalize_line first."""
+def iter_corpus(path: str | Path,
+                normalize: bool = False) -> Iterator[tuple[int, Sentence]]:
+    """Stream (1-based file line number, sentence) pairs from a corpus file,
+    skipping blank lines; with ``normalize``, each line goes through
+    normalize_line first."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = normalize_line(line) if normalize else line.rstrip("\n")
             if line:
-                yield Sentence(tuple(line.split(" ")))
+                yield line_no, Sentence(tuple(line.split(" ")))
 
 
 def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
-    return list(iter_corpus(path, normalize))
+    return [s for _, s in iter_corpus(path, normalize)]

@@ -263,8 +263,12 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
             cfg = dataclasses.replace(spec.training, seed=seed)
             _log(f"[langlab] training {spec.arch} group={group} seed={seed} "
                  f"steps={cfg.total_steps}")
-            series, params = training.train(params, enc_train, cfg, group=group)
             csv_path = run_dir / "metrics.csv"
+            try:
+                series, params = training.train(params, enc_train, cfg, group=group)
+            except training.DivergenceError as exc:
+                exc.series.to_csv(csv_path)
+                raise
             series.to_csv(csv_path)
             models.save_checkpoint(params, run_dir / "model.ckpt")
             held_eval = training.evaluate_perplexity(params, enc_held,

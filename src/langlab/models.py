@@ -34,8 +34,6 @@ __all__ = [
     "CheckpointError",
 ]
 
-MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
-
 
 class CheckpointError(ValueError):
     """A checkpoint file that does not match the binary layout."""
@@ -162,15 +160,11 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray,
     batch, seq = ids.shape
     if seq > cfg.max_seq:
         raise ValueError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
-    d, heads = cfg.model_dim, cfg.heads
-    dh = d // heads
+    d = cfg.model_dim
 
     x = tape.embedding_lookup(p["tok_emb"], ids)
     pos = tape.slice_axis(p["pos_emb"], 0, 0, seq)
     x = tape.add_bias(x, pos)
-
-    causal = np.where(np.tril(np.ones((seq, seq), dtype=bool)), 0.0, MASK_FILL)
-    mask = Tensor(np.broadcast_to(causal, (batch, seq, seq)).copy())
 
     def linear(t2d, w, b):
         return tape.add_bias(tape.matmul(t2d, p[w]), p[b])
@@ -182,16 +176,7 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray,
         q = tape.reshape(linear(h2, pre + "attn.wq", pre + "attn.bq"), (batch, seq, d))
         k = tape.reshape(linear(h2, pre + "attn.wk", pre + "attn.bk"), (batch, seq, d))
         v = tape.reshape(linear(h2, pre + "attn.wv", pre + "attn.bv"), (batch, seq, d))
-        head_outs = []
-        for hd in range(heads):
-            lo, hi = hd * dh, (hd + 1) * dh
-            qh = tape.slice_axis(q, 2, lo, hi)
-            kh = tape.slice_axis(k, 2, lo, hi)
-            vh = tape.slice_axis(v, 2, lo, hi)
-            scores = tape.scale(tape.matmul(qh, tape.transpose(kh)), 1.0 / np.sqrt(dh))
-            attn = tape.softmax(tape.add(scores, mask))
-            head_outs.append(tape.matmul(attn, vh))
-        merged = tape.concat(head_outs, axis=2)
+        merged = tape.causal_attention(q, k, v, cfg.heads)
         merged2 = tape.reshape(merged, (batch * seq, d))
         proj = tape.reshape(linear(merged2, pre + "attn.wo", pre + "attn.bo"),
                             (batch, seq, d))

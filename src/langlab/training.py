@@ -22,6 +22,7 @@ from .tokenizer import PAD_ID, EncodedSequence
 
 __all__ = [
     "TrainingConfig",
+    "DivergenceError",
     "MetricRecord",
     "MetricSeries",
     "EvalResult",
@@ -102,6 +103,15 @@ class MetricSeries:
                 MetricRecord(int(step), float(loss), float(ppl), float(lr))
             )
         return series
+
+
+class DivergenceError(FloatingPointError):
+    """A training loss too large for its perplexity to be finite; ``series``
+    holds the metrics logged before the failing step."""
+
+    def __init__(self, message: str, series: MetricSeries):
+        super().__init__(message)
+        self.series = series
 
 
 @dataclass(frozen=True)
@@ -235,9 +245,9 @@ def train(
         loss = tape.cross_entropy(logits, batch[:, 1:], ignore_id=PAD_ID)
         loss_value = float(loss.data)
         if not loss_value < _MAX_LOSS:
-            raise FloatingPointError(
+            raise DivergenceError(
                 f"training diverged at step {step} (group {group!r}, "
-                f"seed {config.seed}): loss {loss_value!r}"
+                f"seed {config.seed}): loss {loss_value!r}", series
             )
         tape.backward(loss)
         grads = {name: t.grad for name, t in params.tensors.items()

@@ -71,7 +71,7 @@ def invert_parity_negation(s: Sentence) -> Sentence:
 def transform_corpus(kind: TransformKind,
                      sentences: Iterable[Sentence]) -> Iterator[Sentence]:
     """Streaming per-sentence transform; a failure is reported with the
-    1-based line number of its sentence."""
+    1-based position of its sentence."""
     for line_no, s in enumerate(sentences, 1):
         try:
             out = apply_transform(kind, s)
@@ -86,11 +86,16 @@ def transform_file(
     out_path: str | Path,
     normalize: bool = False,
 ) -> int:
-    """Transform a corpus file line by line; returns the line count written."""
+    """Transform a corpus file line by line; returns the line count written.
+    A failure names the file and its 1-based line, blank lines included."""
     written = 0
     with open(out_path, "w", encoding="utf-8", newline="\n") as dst:
-        for sentence in transform_corpus(kind, iter_corpus(in_path, normalize)):
-            dst.write(sentence.text)
+        for line_no, sentence in iter_corpus(in_path, normalize):
+            try:
+                out = apply_transform(kind, sentence)
+            except TransformError as exc:
+                raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
+            dst.write(out.text)
             dst.write("\n")
             written += 1
     return written

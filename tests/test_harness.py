@@ -374,6 +374,7 @@ def bad_inputs(tmp_path_factory):
     blob = ckpt.read_bytes()
     (d / "truncated.ckpt").write_bytes(blob[:-5])
     (d / "doubled.ckpt").write_bytes(blob + blob)
+    (d / "not.txt").write_text("the girl runs\n\n\nthe boy NOT runs\n")
     return d
 
 
@@ -404,7 +405,15 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "2", "--out-dir", "{d}/exp"]
     pytest.param(["train", "--corpus", "{d}/c.txt", "--peak-lr", "50", "--steps", "30",
                   "--batch-size", "16", "--seed", "5", "--out-dir", "{d}/lr"],
                  cli.EXIT_RUNTIME, r"diverged at step \d+ .*seed 5", id="diverged"),
+    pytest.param(["transform", "--kind", "reverse", "--in", "{d}/not.txt",
+                  "--out", "{d}/not.out"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*not\.txt: line 4: reserved token present$",
+                 id="reserved-token"),
 ])
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code
     assert re.search(message, capsys.readouterr().err.strip())
+    if "--peak-lr" in argv:  # a diverging run keeps the metrics logged so far
+        lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
+        assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2

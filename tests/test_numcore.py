@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langlab.numcore import ShapeError, Tape, Tensor, finite_difference_check
+from langlab.numcore import (
+    MASK_FILL,
+    ShapeError,
+    Tape,
+    Tensor,
+    finite_difference_check,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -232,6 +240,121 @@ def test_fd_tanh_sigmoid_gelu():
     for op in ("tanh", "sigmoid", "gelu"):
         fd(lambda t, x, op=op: t.sum_all(t.mul(getattr(t, op)(x),
                                                getattr(t, op)(x))), rand(3, 4))
+
+
+@st.composite
+def attention_case(draw):
+    """(q, k, v, loss weights, heads) with batch 1-3, seq 1-6, heads in
+    {1, 2, 4} dividing dim."""
+    batch = draw(st.integers(1, 3))
+    seq = draw(st.integers(1, 6))
+    heads = draw(st.sampled_from((1, 2, 4)))
+    dim = heads * draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k, v, w = (Tensor(rng.normal(size=(batch, seq, dim))) for _ in range(4))
+    return q, k, v, w, heads
+
+
+def fd_scaled(f, x, h=1e-5):
+    """Worst |analytic - central difference| over the largest gradient entry.
+
+    Attention gradients have entries near 0 by cancellation (softmax rows sum
+    to 1), where the per-entry relative error of finite_difference_check
+    measures round-off, not the gradient: it reaches 1e-3 on such entries for
+    the per-head loop of primitive ops too.
+    """
+    tape = Tape()
+    probe = Tensor(x.data.copy(), requires_grad=True)
+    tape.backward(f(tape, probe))
+    numeric = np.empty_like(x.data)
+    for i in np.ndindex(x.shape):
+        plus, minus = x.data.copy(), x.data.copy()
+        plus[i] += h
+        minus[i] -= h
+        numeric[i] = (float(f(Tape(record=False), Tensor(plus)).data)
+                      - float(f(Tape(record=False), Tensor(minus)).data)) / (2 * h)
+    return np.max(np.abs(probe.grad - numeric)) / max(np.max(np.abs(numeric)), 1e-8)
+
+
+@pytest.mark.parametrize("which", range(3), ids=("q", "k", "v"))
+@given(case=attention_case())
+@settings(max_examples=25, deadline=None)
+def test_fd_causal_attention(which, case):
+    *qkv, w, heads = case
+
+    def f(t, x):
+        args = list(qkv)
+        args[which] = x
+        return t.sum_all(t.mul(t.causal_attention(*args, heads), w))
+
+    err = fd_scaled(f, qkv[which])
+    assert err < 1e-7, f"finite-difference error {err:.3e}"
+
+
+def _per_head_attention(t, q, k, v, heads):
+    """Reference: one head at a time from the primitive Tape ops."""
+    batch, seq, dim = q.shape
+    dh = dim // heads
+    causal = np.where(np.tril(np.ones((seq, seq), dtype=bool)), 0.0, MASK_FILL)
+    mask = Tensor(np.broadcast_to(causal, (batch, seq, seq)).copy())
+    outs = []
+    for hd in range(heads):
+        qh, kh, vh = (t.slice_axis(x, 2, hd * dh, (hd + 1) * dh) for x in (q, k, v))
+        scores = t.scale(t.matmul(qh, t.transpose(kh)), 1.0 / np.sqrt(dh))
+        outs.append(t.matmul(t.softmax(t.add(scores, mask)), vh))
+    return t.concat(outs, axis=2)
+
+
+def test_causal_attention_matches_per_head_loop():
+    """Same arithmetic as the per-head loop, up to BLAS summation order."""
+    data = [RNG.normal(size=(3, 5, 8)) for _ in range(3)]
+    w = rand(3, 5, 8)
+    results = []
+    for op in (Tape.causal_attention, _per_head_attention):
+        tape = Tape()
+        qkv = [Tensor(x.copy(), requires_grad=True) for x in data]
+        out = op(tape, *qkv, 4)
+        tape.backward(tape.sum_all(tape.mul(out, w)))
+        results.append([out.data] + [x.grad for x in qkv])
+    for fused, loop in zip(*results):
+        assert np.max(np.abs(fused - loop)) < 1e-14
+
+
+@pytest.mark.parametrize("which", range(2), ids=("k", "v"))
+def test_causal_attention_is_causal(which):
+    q, k, v = rand(2, 6, 4), rand(2, 6, 4), rand(2, 6, 4)
+    base = Tape().causal_attention(q, k, v, 2).data
+    for j in range(6):
+        changed = [k.data.copy(), v.data.copy()]
+        changed[which][:, j, :] += RNG.normal(size=(2, 4))
+        out = Tape().causal_attention(q, Tensor(changed[0]), Tensor(changed[1]), 2).data
+        assert out[:, :j].tobytes() == base[:, :j].tobytes()
+        assert not np.array_equal(out[:, j:], base[:, j:])
+
+
+def test_causal_attention_shape_errors():
+    with pytest.raises(ShapeError, match="not divisible"):
+        Tape().causal_attention(rand(1, 2, 6), rand(1, 2, 6), rand(1, 2, 6), 4)
+    with pytest.raises(ShapeError, match=r"\(1, 2, 4\).*\(1, 3, 4\)"):
+        Tape().causal_attention(rand(1, 2, 4), rand(1, 3, 4), rand(1, 2, 4), 2)
+
+
+def test_gelu_matches_pow_formula():
+    x = np.linspace(-10.0, 10.0, 200_001)
+    c = math.sqrt(2.0 / math.pi)
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+    y = Tape().gelu(Tensor(x)).data
+    # relative to max(|y|, 1): below x ~ -4, y is the small difference
+    # 1 + tanh(u), and a one-ulp change in the cube moves it by up to a few
+    # 1e-12 relative, while the absolute difference stays below 1e-15
+    assert np.all(np.abs(y - ref) <= 1e-15 * np.maximum(np.abs(ref), 1.0))
+
+
+def test_sigmoid_bit_identical_to_where_formula():
+    x = RNG.normal(scale=8.0, size=100_000)
+    ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert Tape().sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
 
 
 def test_fd_softmax_cross_entropy():
