@@ -39,34 +39,31 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _train_setup(args):
-    sentences = corpusio.read_corpus(args.corpus)
+def _encode_corpus(path: str, vocab: tokenizer.Vocabulary | None = None):
+    """(vocab, encoded sentences) of a non-empty corpus file; without a vocab,
+    one is built from the corpus."""
+    sentences = corpusio.read_corpus(path)
     if not sentences:
-        raise harness.InputError(f"corpus is empty: {args.corpus}")
-    vocab = tokenizer.build_vocabulary(sentences)
-    encoded = [tokenizer.encode(vocab, s) for s in sentences]
-    return sentences, vocab, encoded
+        raise harness.InputError(f"corpus is empty: {path}")
+    if vocab is None:
+        vocab = tokenizer.build_vocabulary(sentences)
+    return vocab, [tokenizer.encode(vocab, s) for s in sentences]
 
 
 def _cmd_train(args) -> int:
-    _, vocab, encoded = _train_setup(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    longest = max(e.length for e in encoded)
-    spec = harness.ExperimentSpec(arch=args.arch, max_seq=max(longest, 16))
-    params = models.init_model(harness.model_config(spec, len(vocab), args.seed))
-    train_cfg = training.TrainingConfig(
+    vocab, encoded = _encode_corpus(args.corpus)
+    cfg = training.TrainingConfig(
         total_steps=args.steps, peak_lr=args.peak_lr, batch_size=args.batch_size,
         warmup_fraction=args.warmup_fraction, eval_every=args.eval_every,
         seed=args.seed,
     )
-    try:
-        series, params = training.train(params, encoded, train_cfg)
-    except training.DivergenceError as exc:
-        exc.series.to_csv(out_dir / "metrics.csv")
-        raise
-    series.to_csv(out_dir / "metrics.csv")
-    models.save_checkpoint(params, out_dir / "model.ckpt")
+    spec = harness.ExperimentSpec(
+        arch=args.arch, max_seq=max(max(e.length for e in encoded), 16),
+        groups=("natural",), seeds=(args.seed,), training=cfg,
+    )
+    spec.validate()
+    out_dir = Path(args.out_dir)
+    series, _ = harness.train_run(spec, len(vocab), encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")
     last = series.records[-1]
     print(f"final step {last.step}: loss={last.loss:.4f} "
@@ -78,10 +75,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = models.load_checkpoint(args.checkpoint)
     vocab = tokenizer.load_vocabulary(args.vocab)
-    sentences = corpusio.read_corpus(args.corpus)
-    if not sentences:
-        raise harness.InputError(f"corpus is empty: {args.corpus}")
-    encoded = [tokenizer.encode(vocab, s) for s in sentences]
+    _, encoded = _encode_corpus(args.corpus, vocab)
     result = training.evaluate_perplexity(params, encoded)
     print(f"loss={result.loss:.17g}")
     print(f"perplexity={result.perplexity:.17g}")

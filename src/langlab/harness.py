@@ -33,6 +33,7 @@ __all__ = [
     "LinearitySummary",
     "run_experiment",
     "model_config",
+    "train_run",
     "emit_report",
     "linearity_gradient_summary",
     "render_text_report",
@@ -115,6 +116,16 @@ class ExperimentSpec:
             self.training.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if len(self.groups) >= 2:
+            # train() logs every eval_every-th step
+            records = self.training.total_steps // self.training.eval_every
+            samples = len(self.seeds) * (
+                records - stats.stabilized_start(records, self.stabilized_fraction))
+            if samples < 2:
+                raise ConfigError(
+                    f"{samples} stabilized-window sample(s) per group, but "
+                    f"Welch's t-test needs at least 2; add seeds or steps"
+                )
 
 
 @dataclass
@@ -205,6 +216,25 @@ def model_config(spec: ExperimentSpec, vocab: int, seed: int):
     )
 
 
+def train_run(spec: ExperimentSpec, vocab_size: int,
+              encoded: list[tokenizer.EncodedSequence], cfg: TrainingConfig,
+              run_dir: Path, group: str = ""
+              ) -> tuple[MetricSeries, models.ModelParameters]:
+    """Train a fresh spec.arch model seeded by cfg.seed and write
+    run_dir/metrics.csv and run_dir/model.ckpt; a diverging run still writes
+    the metrics logged before it.  Returns (series, trained parameters)."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    params = models.init_model(model_config(spec, vocab_size, cfg.seed))
+    try:
+        series, params = training.train(params, encoded, cfg, group=group)
+    except training.DivergenceError as exc:
+        exc.series.to_csv(run_dir / "metrics.csv")
+        raise
+    series.to_csv(run_dir / "metrics.csv")
+    models.save_checkpoint(params, run_dir / "model.ckpt")
+    return series, params
+
+
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Execute the full pipeline for every (group, seed); returns the report."""
     spec.validate()
@@ -258,23 +288,16 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         series_list: list[MetricSeries] = []
         for seed in spec.seeds:
             run_dir = out / "runs" / group / f"seed{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            params = models.init_model(model_config(spec, len(vocab), seed))
             cfg = dataclasses.replace(spec.training, seed=seed)
             _log(f"[langlab] training {spec.arch} group={group} seed={seed} "
                  f"steps={cfg.total_steps}")
-            csv_path = run_dir / "metrics.csv"
-            try:
-                series, params = training.train(params, enc_train, cfg, group=group)
-            except training.DivergenceError as exc:
-                exc.series.to_csv(csv_path)
-                raise
-            series.to_csv(csv_path)
-            models.save_checkpoint(params, run_dir / "model.ckpt")
+            series, params = train_run(spec, len(vocab), enc_train, cfg,
+                                       run_dir, group)
             held_eval = training.evaluate_perplexity(params, enc_held,
                                                      cfg.batch_size)
+            del params  # it holds its last gradients; free it before the next run
             series_list.append(series)
-            result.metrics_csv.append(str(csv_path.relative_to(out)))
+            result.metrics_csv.append(str(run_dir.relative_to(out) / "metrics.csv"))
             result.final_loss.append(series.records[-1].loss)
             result.final_perplexity.append(series.records[-1].perplexity)
             result.min_perplexity.append(min(r.perplexity for r in series.records))
@@ -286,6 +309,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         result.mean_stabilized_loss = sum(window) / len(window)
         group_results[group] = result
         all_series[group] = series_list
+        # free this group's corpora before the next group's are built
+        del train_sents, held_sents, enc_train, enc_held
 
     comparisons: list[dict] = []
     impossible = [g for g in spec.groups if g != "natural"]
@@ -480,7 +505,7 @@ def load_report(run_dir: str | Path) -> RunReport:
 #
 # Declarative key = value format, one per line, '#' comments.  Lists are
 # comma-separated.  Keys mirror ExperimentSpec plus the TrainingConfig fields
-# total_steps, warmup_fraction, peak_lr, batch_size, eval_every, seq_grouping.
+# total_steps, warmup_fraction, peak_lr, batch_size, eval_every.
 
 _SPEC_INT = {"corpus_count", "corpus_seed", "max_seq",
              "t_layers", "t_dim", "t_heads", "t_ff",
@@ -488,8 +513,7 @@ _SPEC_INT = {"corpus_count", "corpus_seed", "max_seq",
 _SPEC_FLOAT = {"stabilized_fraction", "heldout_fraction"}
 _SPEC_STR = {"experiment", "corpus_source", "corpus_file", "arch", "out_dir"}
 _TRAIN_INT = {"total_steps", "batch_size", "eval_every"}
-_TRAIN_FLOAT = {"warmup_fraction", "peak_lr", "beta1", "beta2", "eps"}
-_TRAIN_STR = {"seq_grouping"}
+_TRAIN_FLOAT = {"warmup_fraction", "peak_lr"}
 
 
 def parse_spec_file(path: str | Path, overrides: dict | None = None) -> ExperimentSpec:
@@ -530,8 +554,6 @@ def build_spec(pairs: dict[str, str]) -> ExperimentSpec:
             train_kwargs[key] = _parse_typed(key, value, int)
         elif key in _TRAIN_FLOAT:
             train_kwargs[key] = _parse_typed(key, value, float)
-        elif key in _TRAIN_STR:
-            train_kwargs[key] = value
         else:
             raise ConfigError(f"unknown spec key: {key!r}")
     experiment = spec_kwargs.get("experiment", "custom")

@@ -19,6 +19,7 @@ __all__ = [
     "cohen_d",
     "student_t_sf",
     "regularized_incomplete_beta",
+    "stabilized_start",
     "stabilized_window",
     "format_p",
 ]
@@ -168,24 +169,26 @@ def student_t_sf(t: float, df: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def stabilized_start(n: int, start_fraction: float = 0.5) -> int:
+    """Index of the first of n records in the stabilized window:
+    ceil(start_fraction * n), clamped so at least the last record is always
+    included."""
+    if not 0.0 <= start_fraction < 1.0:
+        raise ValueError(f"start_fraction must be in [0, 1): {start_fraction}")
+    if n == 0:
+        raise ValueError("empty metric series")
+    return min(math.ceil(start_fraction * n), n - 1)
+
+
 def stabilized_window(
     series: MetricSeries,
     start_fraction: float = 0.5,
     metric: str = "loss",
 ) -> list[float]:
-    """Values from the contiguous tail of the series, starting at record index
-    ceil(start_fraction * record count), clamped so at least the last record
-    is always included."""
-    if not 0.0 <= start_fraction < 1.0:
-        raise ValueError(f"start_fraction must be in [0, 1): {start_fraction}")
-    n = len(series.records)
-    if n == 0:
-        raise ValueError("empty metric series")
-    start = min(math.ceil(start_fraction * n), n - 1)
-    values = [getattr(r, metric) for r in series.records[start:]]
-    if not values:
-        raise ValueError("empty stabilized window")
-    return values
+    """Values from the contiguous tail of the series, from record index
+    stabilized_start(record count, start_fraction) on."""
+    start = stabilized_start(len(series.records), start_fraction)
+    return [getattr(r, metric) for r in series.records[start:]]
 
 
 def format_p(p: float) -> str:

@@ -39,12 +39,8 @@ class TrainingConfig:
     warmup_fraction: float = 0.14
     peak_lr: float = 3e-3
     batch_size: int = 64
-    seq_grouping: str = "per-sentence"  # or "pack"
     eval_every: int = 1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> None:
         if self.total_steps < 1:
@@ -55,8 +51,11 @@ class TrainingConfig:
             )
         if self.peak_lr <= 0 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("peak_lr, batch_size, eval_every must be positive")
-        if self.seq_grouping not in ("per-sentence", "pack"):
-            raise ValueError(f"unknown seq_grouping: {self.seq_grouping!r}")
+        if self.eval_every > self.total_steps:
+            raise ValueError(
+                f"eval_every {self.eval_every} exceeds total_steps "
+                f"{self.total_steps}, so no step would be logged"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,18 +183,6 @@ def _pad_batch(seqs: Sequence[tuple[int, ...]]) -> np.ndarray:
     return arr
 
 
-def _pack_windows(corpus: Sequence[EncodedSequence], window: int) -> np.ndarray:
-    stream: list[int] = []
-    for e in corpus:
-        stream.extend(e.ids)
-    n_windows = (len(stream) - 1) // window
-    if n_windows == 0:
-        raise ValueError("corpus too small for packed windows; use per-sentence")
-    arr = np.asarray(stream[: n_windows * window + 1], dtype=np.int64)
-    return np.stack([arr[i * window : i * window + window + 1]
-                     for i in range(n_windows)])
-
-
 def _check_vocab(params: models.ModelParameters,
                  corpus: Sequence[EncodedSequence]) -> None:
     top = max(max(e.ids) for e in corpus)
@@ -218,24 +205,15 @@ def train(
     _check_vocab(params, corpus)
 
     rng = np.random.default_rng(config.seed)
-    optimizer = AdamOptimizer(config.beta1, config.beta2, config.eps)
+    optimizer = AdamOptimizer()
     series = MetricSeries(group=group, arch=params.arch, seed=config.seed)
-
-    packed = None
-    if config.seq_grouping == "pack":
-        packed = _pack_windows(corpus, params.config.max_seq
-                               if hasattr(params.config, "max_seq") else 64)
-    n_items = len(packed) if packed is not None else len(corpus)
 
     def batches():
         while True:
-            order = rng.permutation(n_items)
-            for lo in range(0, n_items, config.batch_size):
-                idx = order[lo : lo + config.batch_size]
-                if packed is not None:
-                    yield packed[idx]
-                else:
-                    yield _pad_batch([corpus[i].ids for i in idx])
+            order = rng.permutation(len(corpus))
+            for lo in range(0, len(corpus), config.batch_size):
+                yield _pad_batch([corpus[i].ids
+                                  for i in order[lo : lo + config.batch_size]])
 
     batch_iter = batches()
     for step in range(1, config.total_steps + 1):

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +173,14 @@ def test_spec_validation_errors(tmp_path):
         tiny_spec(tmp_path, arch="rnn").validate()
     with pytest.raises(ConfigError):
         tiny_spec(tmp_path, seeds=()).validate()
+    with pytest.raises(ConfigError, match="eval_every 10 exceeds total_steps 4"):
+        tiny_spec(tmp_path,
+                  training=TrainingConfig(total_steps=4, eval_every=10)).validate()
+    # 3 logged steps leave 1 stabilized-window sample per seed, 4 leave 2
+    with pytest.raises(ConfigError, match="1 stabilized-window sample"):
+        tiny_spec(tmp_path, seeds=(1,),
+                  training=TrainingConfig(total_steps=3)).validate()
+    tiny_spec(tmp_path, seeds=(1,), training=TrainingConfig(total_steps=4)).validate()
 
 
 def test_external_corpus_missing_file(tmp_path):
@@ -281,6 +291,19 @@ def test_parse_spec_missing_file(tmp_path):
         parse_spec_file(tmp_path / "absent.spec")
 
 
+def test_readme_spec_keys_match_spec_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Experiment spec files", 1)[1].split("```")[1]
+    pairs = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        pairs.update(re.findall(r"(\w+)\s*=\s*(.*?)\s*(?=\s\w+\s*=|$)", line))
+    fields = ({f.name for f in dataclasses.fields(ExperimentSpec)} - {"training"}
+              | {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"})
+    assert set(pairs) == fields
+    build_spec(pairs)
+
+
 def test_build_spec_requires_valid_groups():
     # single impossible group is fine; two groups without natural are not
     assert build_spec({"groups": "reversed"}).groups == ("reversed",)
@@ -383,7 +406,7 @@ def _eval_args(ckpt):
             "--corpus", "{d}/c.txt"]
 
 
-_TINY_EXPERIMENT = ["--seeds", "1", "--steps", "2", "--out-dir", "{d}/exp"]
+_TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -395,6 +418,18 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "2", "--out-dir", "{d}/exp"]
                   *_TINY_EXPERIMENT],
                  cli.EXIT_CONFIG, r"input width \d+ exceeds max_seq 4; raise max_seq$",
                  id="too-long"),
+    pytest.param(["experiment", "--experiment", "2", "--corpus-file", "{d}/c.txt",
+                  "--seeds", "1", "--steps", "2", "--out-dir", "{d}/few"],
+                 cli.EXIT_CONFIG, r"1 stabilized-window sample\(s\) per group",
+                 id="too-few-samples"),
+    pytest.param(["train", "--corpus", "{d}/c.txt", "--steps", "0",
+                  "--out-dir", "{d}/s0"],
+                 cli.EXIT_CONFIG, r"^configuration error: total_steps must be >= 1",
+                 id="train-zero-steps"),
+    pytest.param(["train", "--corpus", "{d}/c.txt", "--steps", "4",
+                  "--eval-every", "10", "--out-dir", "{d}/ev"],
+                 cli.EXIT_CONFIG, r"eval_every 10 exceeds total_steps 4",
+                 id="train-eval-every"),
     pytest.param(["train", "--corpus", "{d}/absent.txt", "--out-dir", "{d}/t"],
                  cli.EXIT_INPUT, r"absent\.txt", id="missing-corpus"),
     pytest.param(_eval_args("truncated.ckpt"), cli.EXIT_INPUT,
@@ -417,3 +452,5 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     if "--peak-lr" in argv:  # a diverging run keeps the metrics logged so far
         lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
+    if "--eval-every" in argv:  # the config error comes before any training
+        assert not (bad_inputs / "ev" / "model.ckpt").exists()

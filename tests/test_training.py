@@ -76,8 +76,9 @@ def test_config_validation():
         TrainingConfig(total_steps=0).validate()
     with pytest.raises(ValueError):
         TrainingConfig(warmup_fraction=1.0).validate()
-    with pytest.raises(ValueError):
-        TrainingConfig(seq_grouping="bogus").validate()
+    with pytest.raises(ValueError, match="eval_every 5 exceeds total_steps 4"):
+        TrainingConfig(total_steps=4, eval_every=5).validate()
+    TrainingConfig(total_steps=4, eval_every=4).validate()
 
 
 # ---------------------------------------------------------------------- adam
@@ -205,14 +206,6 @@ def test_empty_corpus_rejected(tiny_setup):
     _, _, cfg = tiny_setup
     with pytest.raises(ValueError, match="empty"):
         train(init_model(cfg), [], TrainingConfig(total_steps=1))
-
-
-def test_pack_mode_runs(tiny_setup):
-    vocab, encoded, cfg = tiny_setup
-    params = init_model(cfg)
-    series, _ = train(params, encoded,
-                      TrainingConfig(total_steps=4, seq_grouping="pack", seed=1))
-    assert len(series.records) == 4
 
 
 def test_losses_decline_over_first_50_steps(tiny_setup):
