@@ -18,6 +18,7 @@ from langlab.models import (
     transformer_forward,
 )
 from langlab.numcore import Tape
+from langlab.tokenizer import PAD_ID
 
 TINY_T = TransformerConfig(layers=1, model_dim=16, heads=2, ff_dim=32,
                            max_seq=8, vocab=16, seed=3)
@@ -186,6 +187,29 @@ def test_transformer_golden_logits():
         [[[float(v) for v in row] for row in batch] for batch in payload["logits"]]
     )
     assert np.max(np.abs(out.data - golden)) < 1e-12
+
+
+def test_lstm_golden_logits_and_grads():
+    payload = json.loads(
+        (Path(__file__).parent / "data" / "lstm_golden.json").read_text()
+    )
+    params = init_model(LstmConfig(**payload["config"]))
+    ids = np.array(payload["ids"])
+
+    def close(got, ref):
+        # scale-aware: entries near 1e-7 differ by round-off only, which is
+        # large relative to the entry but not to the bound's unit scale
+        ref = np.array(ref, dtype=np.float64)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+    close(lstm_forward(params, ids, Tape(record=False)).data, payload["logits"])
+    tape = Tape()
+    tape.backward(tape.cross_entropy(lstm_forward(params, ids[:, :-1], tape),
+                                     ids[:, 1:], ignore_id=PAD_ID))
+    assert set(payload["grads"]) == set(params.tensors)
+    for name, ref in payload["grads"].items():
+        close(params.tensors[name].grad, ref)
 
 
 # --------------------------------------------------------------- checkpoint

@@ -1,8 +1,11 @@
-"""Regenerate the frozen transformer logits used as a regression anchor.
+"""Regenerate the frozen model outputs used as regression anchors.
 
 Run from the repository root:  python tools/make_golden.py
-Only rerun this when an intentional change to initialization or the forward
-pass invalidates the stored values; commit the regenerated file.
+It writes tests/data/transformer_golden.json (logits) and
+tests/data/lstm_golden.json (logits and every parameter gradient of the
+training loss).  Only rerun this when an intentional change to
+initialization or the forward pass invalidates the stored values; commit the
+regenerated files.
 """
 
 import json
@@ -10,28 +13,63 @@ from pathlib import Path
 
 import numpy as np
 
-from langlab.models import TransformerConfig, init_model, transformer_forward
+from langlab.models import (
+    LstmConfig,
+    TransformerConfig,
+    init_model,
+    lstm_forward,
+    transformer_forward,
+)
 from langlab.numcore import Tape
+from langlab.tokenizer import PAD_ID
 
-OUT = Path(__file__).parent.parent / "tests" / "data" / "transformer_golden.json"
+DATA = Path(__file__).parent.parent / "tests" / "data"
 
 CONFIG = dict(layers=2, model_dim=16, heads=2, ff_dim=32, max_seq=8,
               vocab=16, seed=1234)
+LSTM_CONFIG = dict(layers=2, hidden_dim=8, embed_dim=6, vocab=16, seed=1234)
 IDS = [[1, 4, 7, 12, 3, 2, 0, 5], [1, 15, 14, 2, 8, 9, 10, 11]]
 
 
+def _text(values):
+    """Nested lists of floats as nested lists of round-tripping strings."""
+    if isinstance(values, list):
+        return [_text(v) for v in values]
+    return f"{values:.17g}"
+
+
+def _write(name, payload):
+    path = DATA / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def main():
+    ids = np.array(IDS)
     params = init_model(TransformerConfig(**CONFIG))
-    logits = transformer_forward(params, np.array(IDS), Tape(record=False))
-    payload = {
+    logits = transformer_forward(params, ids, Tape(record=False))
+    _write("transformer_golden.json", {
         "config": CONFIG,
         "ids": IDS,
-        "logits": [[[f"{v:.17g}" for v in row] for row in batch]
-                   for batch in logits.data.tolist()],
-    }
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {OUT}")
+        "logits": _text(logits.data.tolist()),
+    })
+
+    # logits of every position; gradients of the training loss, which
+    # predicts ids[:, 1:] from ids[:, :-1]
+    params = init_model(LstmConfig(**LSTM_CONFIG))
+    logits = lstm_forward(params, ids, Tape(record=False))
+    tape = Tape()
+    loss = tape.cross_entropy(lstm_forward(params, ids[:, :-1], tape),
+                              ids[:, 1:], ignore_id=PAD_ID)
+    tape.backward(loss)
+    _write("lstm_golden.json", {
+        "config": LSTM_CONFIG,
+        "ids": IDS,
+        "logits": _text(logits.data.tolist()),
+        "grads": {name: _text(t.grad.tolist())
+                  for name, t in params.tensors.items()},
+    })
 
 
 if __name__ == "__main__":
