@@ -75,6 +75,11 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     params = models.load_checkpoint(args.checkpoint)
     vocab = tokenizer.load_vocabulary(args.vocab)
+    if len(vocab) != params.config.vocab:
+        raise harness.InputError(
+            f"vocabulary {args.vocab} has {len(vocab)} tokens but checkpoint "
+            f"{args.checkpoint} was trained on {params.config.vocab}"
+        )
     _, encoded = _encode_corpus(args.corpus, vocab)
     result = training.evaluate_perplexity(params, encoded)
     print(f"loss={result.loss:.17g}")

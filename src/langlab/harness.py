@@ -256,6 +256,20 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
             f"leaves none for training; use a larger corpus"
         )
 
+    if spec.arch == "transformer":
+        # Check every group before any trains.  Each transform changes the
+        # length of every sentence by the same amount, so a longest base
+        # sentence is longest in every group.  The model reads every encoded
+        # token but the last: BOS and the words.
+        longest = max(base, key=lambda s: len(s.words))
+        for group in spec.groups:
+            width = len(apply_transform(GROUP_TRANSFORMS[group], longest).words) + 1
+            if width > spec.max_seq:
+                raise ConfigError(
+                    f"group {group}: model input width {width} exceeds max_seq "
+                    f"{spec.max_seq}; raise max_seq"
+                )
+
     group_results: dict[str, GroupResult] = {}
     all_series: dict[str, list[MetricSeries]] = {}
 
@@ -270,14 +284,6 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         tokenizer.save_vocabulary(vocab, out / "vocab" / f"{group}.vocab")
         enc_train = [tokenizer.encode(vocab, s) for s in train_sents]
         enc_held = [tokenizer.encode(vocab, s) for s in held_sents]
-
-        # the model reads every token but the last
-        width = max(e.length for e in enc_train + enc_held) - 1
-        if spec.arch == "transformer" and width > spec.max_seq:
-            raise ConfigError(
-                f"group {group}: model input width {width} exceeds max_seq "
-                f"{spec.max_seq}; raise max_seq"
-            )
 
         result = GroupResult(
             group=group, seeds=list(spec.seeds), metrics_csv=[],

@@ -5,8 +5,9 @@ logits [batch, positions, vocab] and are causal: position i only sees tokens
 at positions <= i.  The transformer uses learned positional embeddings,
 pre-layer-norm blocks, masked multi-head attention, a gelu feed-forward, and
 ties the output projection to the token embedding.  The LSTM is a standard
-stacked recurrence with gate order (input, forget, cell, output) and an
-untied output projection.
+stacked recurrence with gate order (input, forget, cell, output), one fused
+Tape.lstm_layer op per layer, and an untied output projection applied to all
+positions in one matmul.
 """
 
 from __future__ import annotations
@@ -201,30 +202,13 @@ def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor
     p = params.tensors
     ids = np.asarray(ids, dtype=np.int64)
     batch, seq = ids.shape
-    h = cfg.hidden_dim
-
-    emb = tape.embedding_lookup(p["embed"], ids)
-    hidden = [Tensor(np.zeros((batch, h))) for _ in range(cfg.layers)]
-    cell = [Tensor(np.zeros((batch, h))) for _ in range(cfg.layers)]
-    step_logits = []
-    for t in range(seq):
-        x = tape.reshape(tape.slice_axis(emb, 1, t, t + 1), (batch, cfg.embed_dim))
-        for i in range(cfg.layers):
-            z = tape.add_bias(
-                tape.add(tape.matmul(x, p[f"l{i}.wx"]),
-                         tape.matmul(hidden[i], p[f"l{i}.wh"])),
-                p[f"l{i}.b"],
-            )
-            gi = tape.sigmoid(tape.slice_axis(z, 1, 0, h))
-            gf = tape.sigmoid(tape.slice_axis(z, 1, h, 2 * h))
-            gg = tape.tanh(tape.slice_axis(z, 1, 2 * h, 3 * h))
-            go = tape.sigmoid(tape.slice_axis(z, 1, 3 * h, 4 * h))
-            cell[i] = tape.add(tape.mul(gf, cell[i]), tape.mul(gi, gg))
-            hidden[i] = tape.mul(go, tape.tanh(cell[i]))
-            x = hidden[i]
-        out = tape.add_bias(tape.matmul(x, p["out.w"]), p["out.b"])
-        step_logits.append(tape.reshape(out, (batch, 1, cfg.vocab)))
-    return tape.concat(step_logits, axis=1)
+    x = tape.embedding_lookup(p["embed"], ids)
+    for i in range(cfg.layers):
+        x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"])
+    # one output projection over all positions
+    flat = tape.reshape(x, (batch * seq, cfg.hidden_dim))
+    logits = tape.add_bias(tape.matmul(flat, p["out.w"]), p["out.b"])
+    return tape.reshape(logits, (batch, seq, cfg.vocab))
 
 
 def forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor:

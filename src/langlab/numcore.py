@@ -5,6 +5,11 @@ record in reverse, accumulating gradients into every tensor on the path that
 requires them.  Tensors are written once by their producing op and treated as
 immutable afterwards; independent Tapes are independent, so separate threads
 may each run their own.
+
+Most ops are elementwise, structural or row-wise primitives.  Two are fused
+ops with hand-written backwards: causal_attention (multi-head masked
+self-attention) and lstm_layer (one LSTM layer over a whole sequence, with
+backpropagation through time); each emits one tape record.
 """
 
 from __future__ import annotations
@@ -21,6 +26,18 @@ MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
 
 class ShapeError(ValueError):
     pass
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function from e = exp(-|x|), which cannot overflow: 1 / (1 + e)
+    where x >= 0, else e / (1 + e).  out may be x itself."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.maximum(e, x >= 0, out=out)  # e <= 1, so 1 where x >= 0, else e
+    e += 1.0
+    y /= e
+    return y
 
 
 class Tensor:
@@ -114,10 +131,7 @@ class Tape:
         return self._emit(y, (a,), lambda g: (g * (1.0 - y * y),))
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        x = a.data
-        e = np.exp(-np.abs(x))
-        y = np.where(x >= 0, 1.0, e)
-        y /= 1.0 + e
+        y = _sigmoid(a.data)
         return self._emit(y, (a,), lambda g: (g * y * (1.0 - y),))
 
     def gelu(self, a: Tensor) -> Tensor:
@@ -274,6 +288,65 @@ class Tape:
                     merge(np.matmul(y.swapaxes(-1, -2), gh)))
 
         return self._emit(merge(np.matmul(y, vh)), (q, k, v), bwd)
+
+    def lstm_layer(self, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+        """One LSTM layer over [batch, seq, in] inputs from a zero state.
+
+        wx [in, 4h], wh [h, 4h] and b [4h] hold the gates in the order
+        (input, forget, cell, output).  Returns the hidden states
+        [batch, seq, h].  The input projection of every timestep is one
+        matmul; the backward walks time in reverse and gets each weight
+        gradient from one matmul over all timesteps.
+        """
+        n = wh.shape[0] if wh.data.ndim == 2 else 0
+        if (x.data.ndim != 3 or n < 1 or wh.shape != (n, 4 * n)
+                or wx.shape != (x.shape[2], 4 * n) or b.shape != (4 * n,)):
+            raise ShapeError(
+                f"lstm_layer: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
+        batch, seq, n_in = x.shape
+
+        def gates(a):  # views of the (input, forget, cell, output) blocks
+            return a[:, :n], a[:, n:2 * n], a[:, 2 * n:3 * n], a[:, 3 * n:]
+
+        xt = x.data.swapaxes(0, 1).reshape(seq * batch, n_in)  # time-major rows
+        # pre-activations, overwritten step by step with the activations
+        acts = (xt @ wx.data + b.data).reshape(seq, batch, 4 * n)
+        hs = np.empty((seq, batch, n))
+        cs = np.zeros((seq + 1, batch, n))  # cs[t + 1] is c_t; cs[0] the zero state
+        for t in range(seq):
+            a = acts[t]
+            if t:
+                a += hs[t - 1] @ wh.data
+            g = np.tanh(a[:, 2 * n:3 * n])
+            _sigmoid(a, out=a)
+            a[:, 2 * n:3 * n] = g
+            i, f, g, o = gates(a)
+            np.add(f * cs[t], i * g, out=cs[t + 1])
+            np.multiply(o, np.tanh(cs[t + 1]), out=hs[t])
+
+        def bwd(gout):
+            gt = gout.swapaxes(0, 1)
+            dz = np.empty((seq, batch, 4 * n))
+            dh = dc = 0.0
+            for t in reversed(range(seq)):
+                i, f, g, o = gates(acts[t])
+                di, df, dg, do = gates(dz[t])
+                tc = np.tanh(cs[t + 1])
+                dh = gt[t] + dh
+                dc = dc + dh * o * (1.0 - tc * tc)
+                np.multiply(dh * tc * o, 1.0 - o, out=do)
+                np.multiply(dc * g * i, 1.0 - i, out=di)
+                np.multiply(dc * cs[t] * f, 1.0 - f, out=df)
+                np.multiply(dc * i, 1.0 - g * g, out=dg)
+                dc = dc * f
+                if t:
+                    dh = dz[t] @ wh.data.T
+            dz2 = dz.reshape(seq * batch, 4 * n)
+            dx = (dz2 @ wx.data.T).reshape(seq, batch, n_in).swapaxes(0, 1)
+            dwh = hs[:-1].reshape(-1, n).T @ dz2[batch:]
+            return dx, xt.T @ dz2, dwh, dz2.sum(axis=0)
+
+        return self._emit(hs.swapaxes(0, 1), (x, wx, wh, b), bwd)
 
     def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-5) -> Tensor:

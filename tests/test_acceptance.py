@@ -147,6 +147,12 @@ def test_criterion_3_gradient_correctness():
             t.mul(getattr(t, op)(x), getattr(t, op)(x))), rng.normal(size=(3, 4)))
     targets = rng.integers(0, 6, size=(2, 4))
     check(lambda t, x: t.cross_entropy(x, targets), rng.normal(size=(2, 4, 6)))
+    # own generator, so the draws below stay as they were
+    lstm_rng = np.random.default_rng(98)
+    wx, wh, b = (Tensor(lstm_rng.normal(size=s)) for s in ((4, 12), (3, 12), (12,)))
+    wout = Tensor(lstm_rng.normal(size=(2, 3, 3)))
+    check(lambda t, x: t.sum_all(t.mul(t.lstm_layer(x, wx, wh, b), wout)),
+          lstm_rng.normal(size=(2, 3, 4)))
 
     # Full losses at the stated tiny configs (vocab 16, seq 8, dim 16),
     # checked along central differences in random directions plus the

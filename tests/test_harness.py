@@ -8,7 +8,7 @@ import pytest
 
 from langlab import cli
 from langlab.corpusio import read_corpus, write_corpus
-from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
+from langlab.grammar import GenerationConfig, Sentence, default_grammar, generate_corpus
 from langlab.harness import (
     ConfigError,
     ExperimentSpec,
@@ -23,6 +23,7 @@ from langlab.harness import (
     run_experiment,
 )
 from langlab.models import LstmConfig, init_model, save_checkpoint
+from langlab.tokenizer import build_vocabulary, save_vocabulary
 from langlab.training import MetricSeries, TrainingConfig
 from langlab.transforms import NOT_TOKEN
 
@@ -392,17 +393,21 @@ def bad_inputs(tmp_path_factory):
                                               GenerationConfig(count=60, seed=3)))
     (d / "unknown.spec").write_text("bogus_key = 1\n")
     (d / "short.spec").write_text("max_seq = 4\n")
+    (d / "nine.spec").write_text("experiment = 1\nmax_seq = 9\n")
     ckpt = d / "good.ckpt"
     save_checkpoint(init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8)), ckpt)
     blob = ckpt.read_bytes()
     (d / "truncated.ckpt").write_bytes(blob[:-5])
     (d / "doubled.ckpt").write_bytes(blob + blob)
     (d / "not.txt").write_text("the girl runs\n\n\nthe boy NOT runs\n")
+    # good.ckpt has vocab 8: one vocabulary smaller, one (from c.txt) larger
+    save_vocabulary(build_vocabulary([Sentence.from_text("the")]), d / "small.vocab")
+    save_vocabulary(build_vocabulary(read_corpus(d / "c.txt")), d / "big.vocab")
     return d
 
 
-def _eval_args(ckpt):
-    return ["eval", "--checkpoint", "{d}/" + ckpt, "--vocab", "{d}/v.txt",
+def _eval_args(ckpt, vocab="v.txt"):
+    return ["eval", "--checkpoint", "{d}/" + ckpt, "--vocab", "{d}/" + vocab,
             "--corpus", "{d}/c.txt"]
 
 
@@ -418,6 +423,11 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                   *_TINY_EXPERIMENT],
                  cli.EXIT_CONFIG, r"input width \d+ exceeds max_seq 4; raise max_seq$",
                  id="too-long"),
+    pytest.param(["experiment", "--spec", "{d}/nine.spec", "--corpus-count", "40",
+                  "--seeds", "1", "--steps", "4", "--out-dir", "{d}/nine"],
+                 cli.EXIT_CONFIG,
+                 r"group parity-negation: model input width 10 exceeds max_seq 9",
+                 id="too-long-later-group"),
     pytest.param(["experiment", "--experiment", "2", "--corpus-file", "{d}/c.txt",
                   "--seeds", "1", "--steps", "2", "--out-dir", "{d}/few"],
                  cli.EXIT_CONFIG, r"1 stabilized-window sample\(s\) per group",
@@ -437,6 +447,12 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
     pytest.param(_eval_args("doubled.ckpt"), cli.EXIT_INPUT,
                  r"doubled\.ckpt: \d+ trailing bytes .* byte offset \d+",
                  id="trailing-bytes-ckpt"),
+    pytest.param(_eval_args("good.ckpt", "small.vocab"), cli.EXIT_INPUT,
+                 r"small\.vocab has 5 tokens but checkpoint \S*good\.ckpt was "
+                 r"trained on 8$", id="eval-smaller-vocab"),
+    pytest.param(_eval_args("good.ckpt", "big.vocab"), cli.EXIT_INPUT,
+                 r"big\.vocab has \d\d+ tokens but checkpoint \S*good\.ckpt was "
+                 r"trained on 8$", id="eval-larger-vocab"),
     pytest.param(["train", "--corpus", "{d}/c.txt", "--peak-lr", "50", "--steps", "30",
                   "--batch-size", "16", "--seed", "5", "--out-dir", "{d}/lr"],
                  cli.EXIT_RUNTIME, r"diverged at step \d+ .*seed 5", id="diverged"),
@@ -454,3 +470,5 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
     if "--eval-every" in argv:  # the config error comes before any training
         assert not (bad_inputs / "ev" / "model.ckpt").exists()
+    if "{d}/nine.spec" in argv:  # every group is checked before any trains
+        assert not (bad_inputs / "nine" / "runs" / "natural" / "seed1").exists()

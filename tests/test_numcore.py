@@ -339,6 +339,89 @@ def test_causal_attention_shape_errors():
         Tape().causal_attention(rand(1, 2, 4), rand(1, 3, 4), rand(1, 2, 4), 2)
 
 
+@st.composite
+def lstm_case(draw):
+    """(x, wx, wh, b, loss weights) with batch 1-3, seq 1-6, in 1-5 and
+    hidden 1-8."""
+    batch, seq = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    n_in, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = ((batch, seq, n_in), (n_in, 4 * n), (n, 4 * n), (4 * n,), (batch, seq, n))
+    return tuple(Tensor(rng.normal(size=s)) for s in shapes)
+
+
+@pytest.mark.parametrize("which", range(4), ids=("x", "wx", "wh", "b"))
+@given(case=lstm_case())
+@settings(max_examples=20, deadline=None)
+def test_fd_lstm_layer(which, case):
+    *args, w = case
+
+    def f(t, v):
+        probe = list(args)
+        probe[which] = v
+        return t.sum_all(t.mul(t.lstm_layer(*probe), w))
+
+    err = fd_scaled(f, args[which])
+    assert err < 1e-7, f"finite-difference error {err:.3e}"
+
+
+def _per_step_lstm(t, x, wx, wh, b):
+    """Reference: one timestep at a time from the primitive Tape ops."""
+    batch, seq, n_in = x.shape
+    n = wh.shape[0]
+    h = c = Tensor(np.zeros((batch, n)))
+    outs = []
+    for step in range(seq):
+        xs = t.reshape(t.slice_axis(x, 1, step, step + 1), (batch, n_in))
+        z = t.add_bias(t.add(t.matmul(xs, wx), t.matmul(h, wh)), b)
+        gi, gf, go = (t.sigmoid(t.slice_axis(z, 1, k * n, (k + 1) * n))
+                      for k in (0, 1, 3))
+        gg = t.tanh(t.slice_axis(z, 1, 2 * n, 3 * n))
+        c = t.add(t.mul(gf, c), t.mul(gi, gg))
+        h = t.mul(go, t.tanh(c))
+        outs.append(t.reshape(h, (batch, 1, n)))
+    return t.concat(outs, axis=1)
+
+
+def test_lstm_layer_matches_per_step_loop():
+    """Same arithmetic as the per-step loop, up to summation order."""
+    shapes = ((3, 5, 4), (4, 24), (6, 24), (24,))
+    data = [RNG.normal(size=s) for s in shapes]
+    w = rand(3, 5, 6)
+    results = []
+    for op in (Tape.lstm_layer, _per_step_lstm):
+        tape = Tape()
+        args = [Tensor(a.copy(), requires_grad=True) for a in data]
+        out = op(tape, *args)
+        tape.backward(tape.sum_all(tape.mul(out, w)))
+        results.append([out.data] + [a.grad for a in args])
+    for fused, loop in zip(*results):
+        assert fused.shape == loop.shape
+        assert np.all(np.abs(fused - loop) <= 1e-14 * np.maximum(np.abs(loop), 1.0))
+
+
+def test_lstm_layer_is_causal():
+    wx, wh, b = rand(3, 16), rand(4, 16), rand(16)
+    x = RNG.normal(size=(2, 6, 3))
+    base = Tape().lstm_layer(Tensor(x), wx, wh, b).data
+    for j in range(6):
+        changed = x.copy()
+        changed[:, j, :] += RNG.normal(size=(2, 3))
+        out = Tape().lstm_layer(Tensor(changed), wx, wh, b).data
+        assert out[:, :j].tobytes() == base[:, :j].tobytes()
+        assert not np.array_equal(out[:, j:], base[:, j:])
+
+
+def test_lstm_layer_shape_errors():
+    x, wx, wh, b = rand(2, 3, 5), rand(5, 16), rand(4, 16), rand(16)
+    Tape().lstm_layer(x, wx, wh, b)
+    for bad in ((x, rand(4, 16), wh, b), (x, rand(5, 12), wh, b),
+                (x, wx, rand(4, 12), b), (x, wx, rand(3, 16), b),
+                (x, wx, wh, rand(12)), (rand(3, 5), wx, wh, b)):
+        with pytest.raises(ShapeError, match="lstm_layer"):
+            Tape().lstm_layer(*bad)
+
+
 def test_gelu_matches_pow_formula():
     x = np.linspace(-10.0, 10.0, 200_001)
     c = math.sqrt(2.0 / math.pi)

@@ -1,6 +1,6 @@
 """Regenerate the frozen model outputs used as regression anchors.
 
-Run from the repository root:  python tools/make_golden.py
+Run from the repository root:  PYTHONPATH=src python tools/make_golden.py
 It writes tests/data/transformer_golden.json (logits) and
 tests/data/lstm_golden.json (logits and every parameter gradient of the
 training loss).  Only rerun this when an intentional change to
