@@ -177,23 +177,11 @@ def test_lstm_gates_match_scalar_oracle():
     assert np.all(np.abs(out.data[0] - np.array(expected_rows)) < 1e-12)
 
 
-def test_transformer_golden_logits():
-    payload = json.loads(
-        (Path(__file__).parent / "data" / "transformer_golden.json").read_text()
-    )
-    params = init_model(TransformerConfig(**payload["config"]))
-    out = transformer_forward(params, np.array(payload["ids"]), Tape(record=False))
-    golden = np.array(
-        [[[float(v) for v in row] for row in batch] for batch in payload["logits"]]
-    )
-    assert np.max(np.abs(out.data - golden)) < 1e-12
-
-
-def test_lstm_golden_logits_and_grads():
-    payload = json.loads(
-        (Path(__file__).parent / "data" / "lstm_golden.json").read_text()
-    )
-    params = init_model(LstmConfig(**payload["config"]))
+def _check_golden(file_name, config_cls, model_forward):
+    """Logits and every parameter gradient of the training loss against the
+    frozen values, within 1e-12 * max(|ref|, 1)."""
+    payload = json.loads((Path(__file__).parent / "data" / file_name).read_text())
+    params = init_model(config_cls(**payload["config"]))
     ids = np.array(payload["ids"])
 
     def close(got, ref):
@@ -203,13 +191,21 @@ def test_lstm_golden_logits_and_grads():
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
-    close(lstm_forward(params, ids, Tape(record=False)).data, payload["logits"])
+    close(model_forward(params, ids, Tape(record=False)).data, payload["logits"])
     tape = Tape()
-    tape.backward(tape.cross_entropy(lstm_forward(params, ids[:, :-1], tape),
+    tape.backward(tape.cross_entropy(model_forward(params, ids[:, :-1], tape),
                                      ids[:, 1:], ignore_id=PAD_ID))
     assert set(payload["grads"]) == set(params.tensors)
     for name, ref in payload["grads"].items():
         close(params.tensors[name].grad, ref)
+
+
+def test_transformer_golden_logits():
+    _check_golden("transformer_golden.json", TransformerConfig, transformer_forward)
+
+
+def test_lstm_golden_logits_and_grads():
+    _check_golden("lstm_golden.json", LstmConfig, lstm_forward)
 
 
 # --------------------------------------------------------------- checkpoint

@@ -1,11 +1,12 @@
 """Regenerate the frozen model outputs used as regression anchors.
 
 Run from the repository root:  PYTHONPATH=src python tools/make_golden.py
-It writes tests/data/transformer_golden.json (logits) and
-tests/data/lstm_golden.json (logits and every parameter gradient of the
-training loss).  Only rerun this when an intentional change to
+It writes tests/data/transformer_golden.json and tests/data/lstm_golden.json:
+each holds a model's logits and every parameter gradient of its training
+loss.  Only rerun this when an intentional change to
 initialization or the forward pass invalidates the stored values; commit the
-regenerated files.
+regenerated files.  The stored LSTM values come from the per-timestep forward
+that Tape.lstm_layer replaced, so a rerun changes their last digits only.
 """
 
 import json
@@ -45,31 +46,29 @@ def _write(name, payload):
     print(f"wrote {path}")
 
 
-def main():
-    ids = np.array(IDS)
-    params = init_model(TransformerConfig(**CONFIG))
-    logits = transformer_forward(params, ids, Tape(record=False))
-    _write("transformer_golden.json", {
-        "config": CONFIG,
-        "ids": IDS,
-        "logits": _text(logits.data.tolist()),
-    })
-
-    # logits of every position; gradients of the training loss, which
-    # predicts ids[:, 1:] from ids[:, :-1]
-    params = init_model(LstmConfig(**LSTM_CONFIG))
-    logits = lstm_forward(params, ids, Tape(record=False))
+def _golden(name, config, params, forward, ids):
+    """Logits of every position; gradients of the training loss, which
+    predicts ids[:, 1:] from ids[:, :-1]."""
+    logits = forward(params, ids, Tape(record=False))
     tape = Tape()
-    loss = tape.cross_entropy(lstm_forward(params, ids[:, :-1], tape),
+    loss = tape.cross_entropy(forward(params, ids[:, :-1], tape),
                               ids[:, 1:], ignore_id=PAD_ID)
     tape.backward(loss)
-    _write("lstm_golden.json", {
-        "config": LSTM_CONFIG,
+    _write(name, {
+        "config": config,
         "ids": IDS,
         "logits": _text(logits.data.tolist()),
         "grads": {name: _text(t.grad.tolist())
                   for name, t in params.tensors.items()},
     })
+
+
+def main():
+    ids = np.array(IDS)
+    _golden("transformer_golden.json", CONFIG,
+            init_model(TransformerConfig(**CONFIG)), transformer_forward, ids)
+    _golden("lstm_golden.json", LSTM_CONFIG,
+            init_model(LstmConfig(**LSTM_CONFIG)), lstm_forward, ids)
 
 
 if __name__ == "__main__":
