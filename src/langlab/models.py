@@ -7,7 +7,8 @@ pre-layer-norm blocks, masked multi-head attention, a gelu feed-forward, and
 ties the output projection to the token embedding.  The LSTM is a standard
 stacked recurrence with gate order (input, forget, cell, output), one fused
 Tape.lstm_layer op per layer, and an untied output projection applied to all
-positions in one matmul.
+positions in one fused Tape.linear op.  Every transformer projection but the
+tied output one is a Tape.linear op as well.
 """
 
 from __future__ import annotations
@@ -167,28 +168,21 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray,
     pos = tape.slice_axis(p["pos_emb"], 0, 0, seq)
     x = tape.add_bias(x, pos)
 
-    def linear(t2d, w, b):
-        return tape.add_bias(tape.matmul(t2d, p[w]), p[b])
+    def linear(t, w, b):  # parameters of the current layer, prefix pre
+        return tape.linear(t, p[pre + w], p[pre + b])
 
     for i in range(cfg.layers):
         pre = f"l{i}."
         h = tape.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        h2 = tape.reshape(h, (batch * seq, d))
-        q = tape.reshape(linear(h2, pre + "attn.wq", pre + "attn.bq"), (batch, seq, d))
-        k = tape.reshape(linear(h2, pre + "attn.wk", pre + "attn.bk"), (batch, seq, d))
-        v = tape.reshape(linear(h2, pre + "attn.wv", pre + "attn.bv"), (batch, seq, d))
+        q = linear(h, "attn.wq", "attn.bq")
+        k = linear(h, "attn.wk", "attn.bk")
+        v = linear(h, "attn.wv", "attn.bv")
         merged = tape.causal_attention(q, k, v, cfg.heads)
-        merged2 = tape.reshape(merged, (batch * seq, d))
-        proj = tape.reshape(linear(merged2, pre + "attn.wo", pre + "attn.bo"),
-                            (batch, seq, d))
-        x = tape.add(x, proj)
+        x = tape.add(x, linear(merged, "attn.wo", "attn.bo"))
 
         h = tape.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        h2 = tape.reshape(h, (batch * seq, d))
-        ff = tape.gelu(linear(h2, pre + "ff.w1", pre + "ff.b1"))
-        ff = tape.add_bias(tape.matmul(ff, p[pre + "ff.w2"]), p[pre + "ff.b2"])
-        ff = tape.reshape(ff, (batch, seq, d))
-        x = tape.add(x, ff)
+        ff = tape.gelu(linear(h, "ff.w1", "ff.b1"))
+        x = tape.add(x, linear(ff, "ff.w2", "ff.b2"))
 
     x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
     flat = tape.reshape(x, (batch * seq, d))
@@ -200,15 +194,11 @@ def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor
     """Logits [batch, positions, vocab] from the stacked LSTM recurrence."""
     cfg: LstmConfig = params.config
     p = params.tensors
-    ids = np.asarray(ids, dtype=np.int64)
-    batch, seq = ids.shape
-    x = tape.embedding_lookup(p["embed"], ids)
+    x = tape.embedding_lookup(p["embed"], np.asarray(ids, dtype=np.int64))
     for i in range(cfg.layers):
         x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"])
     # one output projection over all positions
-    flat = tape.reshape(x, (batch * seq, cfg.hidden_dim))
-    logits = tape.add_bias(tape.matmul(flat, p["out.w"]), p["out.b"])
-    return tape.reshape(logits, (batch, seq, cfg.vocab))
+    return tape.linear(x, p["out.w"], p["out.b"])
 
 
 def forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor:

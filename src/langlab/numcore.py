@@ -6,10 +6,11 @@ requires them.  Tensors are written once by their producing op and treated as
 immutable afterwards; independent Tapes are independent, so separate threads
 may each run their own.
 
-Most ops are elementwise, structural or row-wise primitives.  Two are fused
-ops with hand-written backwards: causal_attention (multi-head masked
-self-attention) and lstm_layer (one LSTM layer over a whole sequence, with
-backpropagation through time); each emits one tape record.
+Most ops are elementwise, structural or row-wise primitives.  Three are fused
+ops with hand-written backwards: linear (x @ w + b over the last axis of x),
+causal_attention (multi-head masked self-attention) and lstm_layer (one LSTM
+layer over a whole sequence, with backpropagation through time); each emits
+one tape record.
 """
 
 from __future__ import annotations
@@ -138,14 +139,34 @@ class Tape:
         """Gaussian error linear unit, tanh approximation."""
         x = a.data
         c = math.sqrt(2.0 / math.pi)
+        # t = tanh(c * (x + 0.044715 * (x * x * x))), built in one buffer;
         # x * x * x, not x ** 3: numpy's float pow is ~40x slower
-        u = c * (x + 0.044715 * (x * x * x))
-        t = np.tanh(u)
-        y = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        y = 1.0 + t
+        y *= 0.5 * x
 
         def bwd(g):
-            du = c * (1.0 + 3 * 0.044715 * (x * x))
-            return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du) in two buffers,
+            # du = c * (1 + 3 * 0.044715 * (x * x))
+            d = t * t
+            np.subtract(1.0, d, out=d)
+            e = np.multiply(x, 0.5)
+            e *= d
+            np.multiply(x, x, out=d)
+            d *= 3 * 0.044715
+            d += 1.0
+            d *= c
+            e *= d
+            np.add(t, 1.0, out=d)
+            d *= 0.5
+            d += e
+            d *= g
+            return (d,)
 
         return self._emit(y, (a,), bwd)
 
@@ -168,6 +189,21 @@ class Tape:
             )
 
         return self._emit(np.matmul(a.data, b.data), (a, b), bwd)
+
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """x @ w + b over the last axis of x: [..., in] to [..., out]."""
+        if (x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
+                or b.shape != w.shape[1:]):
+            raise ShapeError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}")
+        x2 = x.data.reshape(-1, w.shape[0])
+        y = x2 @ w.data
+        y += b.data
+
+        def bwd(g):
+            g2 = g.reshape(-1, w.shape[1])
+            return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+
+        return self._emit(y.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bwd)
 
     def transpose(self, a: Tensor) -> Tensor:
         """Swap the last two axes."""
@@ -355,23 +391,29 @@ class Tape:
             raise ShapeError(
                 f"layer_norm: gain {gain.shape} / bias {bias.shape} vs rows of {a.shape}"
             )
-        mu = a.data.mean(axis=-1, keepdims=True)
-        d = a.data - mu
-        var = (d * d).mean(axis=-1, keepdims=True)
-        std = np.sqrt(var + eps)
-        xhat = d / std
+        xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+        y = xhat * xhat
+        std = np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+        xhat /= std
+        np.multiply(xhat, gain.data, out=y)
+        y += bias.data
         lead = tuple(range(a.data.ndim - 1))
 
         def bwd(g):
-            gx = g * gain.data
-            dx = (gx - gx.mean(axis=-1, keepdims=True)
-                  - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std
-            dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
+            # (gx - mean(gx) - xhat * mean(gx * xhat)) / std, gx = g * gain
+            dx = g * gain.data
+            m = dx.mean(axis=-1, keepdims=True)
+            p = dx * xhat
+            np.multiply(xhat, p.mean(axis=-1, keepdims=True), out=p)
+            dx -= m
+            dx -= p
+            dx /= std
+            np.multiply(g, xhat, out=p)
+            dgain = p.sum(axis=lead) if lead else p
             dbias = g.sum(axis=lead) if lead else g
             return dx, dgain, dbias
 
-        return self._emit(xhat * gain.data + bias.data,
-                          (a, gain, bias), bwd)
+        return self._emit(y, (a, gain, bias), bwd)
 
     # ------------------------------------------------------------- reductions
 
@@ -408,10 +450,12 @@ class Tape:
         loss = -(logp * mask).sum() / n
 
         def bwd(g):
-            p = np.exp(flat - lse)
+            p = flat - lse
+            np.exp(p, out=p)
             p[np.arange(flat.shape[0]), safe_tgt] -= 1.0
             p[~mask] = 0.0
-            return ((float(g) / n) * p.reshape(logits.shape),)
+            p *= float(g) / n
+            return (p.reshape(logits.shape),)
 
         return self._emit(np.asarray(loss), (logits,), bwd)
 

@@ -158,17 +158,28 @@ class AdamOptimizer:
                 )
             m = self._m.get(name)
             if m is None:
-                m = np.zeros_like(tensor.data)
+                m = self._m[name] = np.zeros_like(tensor.data)
                 self._v[name] = np.zeros_like(tensor.data)
             v = self._v[name]
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * g * g
-            self._m[name], self._v[name] = m, v
-            m_hat = m / (1 - b1 ** step_num)
-            v_hat = v / (1 - b2 ** step_num)
+            # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g, in
+            # place: only the optimizer holds m and v
+            a = np.multiply(g, 1 - b1)
+            m *= b1
+            m += a
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
+            v *= b2
+            v += a
+            # lr * m_hat / (sqrt(v_hat) + eps) in a and d
+            np.divide(m, 1 - b1 ** step_num, out=a)
+            a *= lr
+            d = np.divide(v, 1 - b2 ** step_num)
+            np.sqrt(d, out=d)
+            d += self.eps
+            a /= d
             # assignment (not in-place) so tensors referenced by old tapes
             # keep their values
-            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.data = tensor.data - a
 
 
 # the largest loss whose perplexity exp(loss) is a finite float

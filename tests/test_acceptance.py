@@ -153,6 +153,10 @@ def test_criterion_3_gradient_correctness():
     wout = Tensor(lstm_rng.normal(size=(2, 3, 3)))
     check(lambda t, x: t.sum_all(t.mul(t.lstm_layer(x, wx, wh, b), wout)),
           lstm_rng.normal(size=(2, 3, 4)))
+    lin_rng = np.random.default_rng(97)
+    w43, b3 = Tensor(lin_rng.normal(size=(4, 3))), Tensor(lin_rng.normal(size=3))
+    check(lambda t, x: t.sum_all(t.mul(t.linear(x, w43, b3), t.linear(x, w43, b3))),
+          lin_rng.normal(size=(2, 3, 4)))
 
     # Full losses at the stated tiny configs (vocab 16, seq 8, dim 16),
     # checked along central differences in random directions plus the

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,120 @@ def test_lstm_layer_shape_errors():
                 (x, wx, wh, rand(12)), (rand(3, 5), wx, wh, b)):
         with pytest.raises(ShapeError, match="lstm_layer"):
             Tape().lstm_layer(*bad)
+
+
+@st.composite
+def linear_case(draw, rank):
+    """(x, w, b, loss weights) with x of the given rank, leading dims 1-3
+    and in/out dims 1-5."""
+    lead = tuple(draw(st.integers(1, 3)) for _ in range(rank - 1))
+    n_in, n_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = (lead + (n_in,), (n_in, n_out), (n_out,), lead + (n_out,))
+    return tuple(Tensor(rng.normal(size=s)) for s in shapes)
+
+
+@pytest.mark.parametrize("which", range(3), ids=("x", "w", "b"))
+@pytest.mark.parametrize("rank", (2, 3))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fd_linear(rank, which, data):
+    *args, w = data.draw(linear_case(rank))
+
+    def f(t, v):
+        probe = list(args)
+        probe[which] = v
+        return t.sum_all(t.mul(t.linear(*probe), w))
+
+    err = fd_scaled(f, args[which])
+    assert err < 1e-7, f"finite-difference error {err:.3e}"
+
+
+def test_linear_shape_errors():
+    x, w, b = rand(2, 3, 4), rand(4, 5), rand(5)
+    assert Tape().linear(x, w, b).shape == (2, 3, 5)
+    for bad in ((rand(2, 3, 3), w, b), (x, rand(3, 5), b), (x, w, rand(4)),
+                (x, rand(4, 5, 1), b), (x, w, rand(1, 5)), (rand(), w, b)):
+        shapes = f"x {bad[0].shape}, w {bad[1].shape}, b {bad[2].shape}"
+        with pytest.raises(ShapeError, match=re.escape(f"linear: {shapes}")):
+            Tape().linear(*bad)
+
+
+def _grads_of(op, data, weights):
+    """Output and input gradients of sum(op(*inputs) * weights); the weights
+    reach op's backward bit for bit (1.0 * w)."""
+    tape = Tape()
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in data]
+    out = op(tape, *inputs)
+    tape.backward(tape.sum_all(tape.mul(out, Tensor(weights))))
+    return [out.data] + [t.grad for t in inputs]
+
+
+def _assert_same_bytes(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gelu_bit_identical_to_unbuffered_formula():
+    x = RNG.normal(scale=4.0, size=(70, 30))
+    g = RNG.normal(size=x.shape)
+    c = math.sqrt(2.0 / math.pi)
+    u = c * (x + 0.044715 * (x * x * x))
+    t = np.tanh(u)
+    y = 0.5 * x * (1.0 + t)
+    du = c * (1.0 + 3 * 0.044715 * (x * x))
+    dx = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+    _assert_same_bytes(_grads_of(Tape.gelu, [x], g), [y, dx])
+
+
+def test_layer_norm_bit_identical_to_unbuffered_formula():
+    a, gain, bias = (RNG.normal(size=s) for s in ((4, 9, 16), (16,), (16,)))
+    g = RNG.normal(size=a.shape)
+    mu = a.mean(axis=-1, keepdims=True)
+    d = a - mu
+    var = (d * d).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + 1e-5)
+    xhat = d / std
+    y = xhat * gain + bias
+    gx = g * gain
+    dx = (gx - gx.mean(axis=-1, keepdims=True)
+          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) / std
+    ref = [y, dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+    _assert_same_bytes(_grads_of(Tape.layer_norm, [a, gain, bias], g), ref)
+
+
+@pytest.mark.parametrize("lead", ((24,), (4, 6)), ids=("2d", "3d"))
+def test_linear_bit_identical_to_matmul_add_bias(lead):
+    x, w, b = (RNG.normal(size=s) for s in (lead + (16,), (16, 32), (32,)))
+    g = RNG.normal(size=lead + (32,))
+
+    def unfused(t, x, w, b):
+        x2 = t.reshape(x, (24, 16)) if len(lead) > 1 else x
+        y = t.add_bias(t.matmul(x2, w), b)
+        return t.reshape(y, lead + (32,)) if len(lead) > 1 else y
+
+    _assert_same_bytes(_grads_of(Tape.linear, [x, w, b], g),
+                       _grads_of(unfused, [x, w, b], g))
+
+
+def test_cross_entropy_grad_bit_identical_to_unbuffered_formula():
+    logits = RNG.normal(scale=3.0, size=(4, 6, 11))
+    targets = RNG.integers(1, 11, size=(4, 6))
+    targets[0, :3] = 0  # 21 counted targets: p / 21 and p * (1 / 21) differ
+    tape = Tape()
+    probe = Tensor(logits.copy(), requires_grad=True)
+    tape.backward(tape.cross_entropy(probe, targets, ignore_id=0))
+    flat = logits.reshape(-1, 11)
+    tgt = targets.ravel()
+    mask = tgt != 0
+    m = flat.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(flat - m).sum(axis=-1, keepdims=True))
+    p = np.exp(flat - lse)
+    p[np.arange(flat.shape[0]), np.where(mask, tgt, 0)] -= 1.0
+    p[~mask] = 0.0
+    ref = (1.0 / int(mask.sum())) * p.reshape(logits.shape)
+    assert probe.grad.tobytes() == ref.tobytes()
 
 
 def test_gelu_matches_pow_formula():

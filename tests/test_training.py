@@ -120,6 +120,31 @@ def test_adam_converges_on_quadratic():
     assert np.linalg.norm(w.data - target) < 1e-3
 
 
+def test_adam_bit_identical_to_out_of_place_formula():
+    """Three steps against the out-of-place update, compared by bytes."""
+    params = init_model(LstmConfig(layers=1, hidden_dim=4, embed_dim=4, vocab=5))
+    ref = {n: t.data.copy() for n, t in params.tensors.items()}
+    m = {n: np.zeros_like(a) for n, a in ref.items()}
+    v = {n: np.zeros_like(a) for n, a in ref.items()}
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    rng = np.random.default_rng(11)
+    opt = AdamOptimizer()
+    for step in range(1, 4):
+        grads = {n: rng.normal(size=a.shape) for n, a in ref.items()}
+        held = {n: t.data for n, t in params.tensors.items()}
+        kept = {n: a.copy() for n, a in held.items()}
+        opt.step(params, grads, step, lr=lr)
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            m_hat = m[n] / (1 - b1 ** step)
+            v_hat = v[n] / (1 - b2 ** step)
+            ref[n] = ref[n] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert params.tensors[n].data.tobytes() == ref[n].tobytes()
+            # the array a tape may still hold is never written
+            assert held[n].tobytes() == kept[n].tobytes()
+
+
 def test_adam_shape_mismatch():
     params = init_model(LstmConfig(layers=1, hidden_dim=4, embed_dim=4, vocab=5))
     grads = {"embed": np.zeros((1, 1))}
