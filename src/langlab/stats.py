@@ -60,6 +60,20 @@ def _mean_var(xs) -> tuple[float, float]:
     return m, var
 
 
+def _scaled_mean_var(a, b) -> tuple[int, float, float, float, float]:
+    """Means and variances of both groups after dividing every value by 2**e.
+
+    e puts the largest |x| of both groups in [0.5, 1), so the squared
+    deviations neither underflow nor overflow; scaling by a power of two is
+    exact, so on ordinary data the results equal the unscaled ones bit for
+    bit. A mean scales back by 2**e and a variance by 2**(2e).
+    """
+    e = math.frexp(max(abs(x) for x in (*a, *b)))[1]
+    m1, v1 = _mean_var([math.ldexp(x, -e) for x in a])
+    m2, v2 = _mean_var([math.ldexp(x, -e) for x in b])
+    return e, m1, v1, m2, v2
+
+
 def welch_t_test(a, b) -> TTestResult:
     """Two-sample t-test without equal-variance assumption.
 
@@ -70,12 +84,14 @@ def welch_t_test(a, b) -> TTestResult:
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise ValueError("welch_t_test: need at least 2 samples in each group")
-    m1, v1 = _mean_var(a)
-    m2, v2 = _mean_var(b)
+    # t, df, p and d are scale-free, so they come from the scaled moments
+    e, m1, v1, m2, v2 = _scaled_mean_var(a, b)
+    moments = (math.ldexp(m1, e), math.ldexp(m2, e),
+               math.ldexp(v1, 2 * e), math.ldexp(v2, 2 * e))
     if v1 == 0.0 and v2 == 0.0:
         if m1 == m2:
             return TTestResult(0.0, float(n1 + n2 - 2), 1.0, 0.0,
-                               n1, n2, m1, m2, v1, v2)
+                               n1, n2, *moments)
         raise ValueError("welch_t_test: zero variance in both groups")
     se1, se2 = v1 / n1, v2 / n2
     t = (m1 - m2) / math.sqrt(se1 + se2)
@@ -85,7 +101,7 @@ def welch_t_test(a, b) -> TTestResult:
     df = 1.0 / (r1 ** 2 / (n1 - 1) + r2 ** 2 / (n2 - 1))
     p = student_t_sf(t, df)
     d = _cohen_from_stats(n1, m1, v1, n2, m2, v2)
-    return TTestResult(t, df, p, d, n1, n2, m1, m2, v1, v2)
+    return TTestResult(t, df, p, d, n1, n2, *moments)
 
 
 def _cohen_from_stats(n1, m1, v1, n2, m2, v2) -> float:
@@ -101,8 +117,7 @@ def cohen_d(a, b) -> float:
     """Pooled-standard-deviation standardized mean difference."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("cohen_d: need at least 2 samples in each group")
-    m1, v1 = _mean_var(a)
-    m2, v2 = _mean_var(b)
+    _, m1, v1, m2, v2 = _scaled_mean_var(a, b)
     return _cohen_from_stats(len(a), m1, v1, len(b), m2, v2)
 
 
@@ -164,8 +179,15 @@ def student_t_sf(t: float, df: float) -> float:
     """Two-sided tail probability of Student's t, symmetric in the sign of t."""
     if df <= 0:
         raise ValueError(f"df must be positive, got {df}")
-    x = df / (df + t * t)
-    p = regularized_incomplete_beta(df / 2.0, 0.5, x)
+    a, tt = df / 2.0, t * t
+    x = df / (df + tt)
+    if x < (a + 1.0) / (a + 2.5):
+        p = regularized_incomplete_beta(a, 0.5, x)
+    else:
+        # the branch regularized_incomplete_beta would take through 1 - x,
+        # with 1 - x formed as tt / (df + tt): for small t, subtracting x
+        # from 1 would cancel most of its digits
+        p = 1.0 - regularized_incomplete_beta(0.5, a, tt / (df + tt))
     return min(1.0, max(0.0, p))
 
 
