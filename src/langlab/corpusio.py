@@ -7,9 +7,14 @@ from typing import Iterable, Iterator
 
 from .grammar import Sentence
 
-__all__ = ["write_corpus", "read_corpus", "iter_corpus", "normalize_line"]
+__all__ = ["InputError", "write_corpus", "read_corpus", "iter_corpus",
+           "normalize_line"]
 
 _TERMINAL_PUNCTUATION = ".!?,;:"
+
+
+class InputError(ValueError):
+    """A missing, unreadable or malformed input file."""
 
 
 def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
@@ -37,7 +42,10 @@ def iter_corpus(path: str | Path,
         for line_no, line in enumerate(fh, 1):
             line = normalize_line(line) if normalize else line.rstrip("\n")
             if line:
-                yield line_no, Sentence(tuple(line.split(" ")))
+                words = tuple(line.split(" "))
+                if "" in words:
+                    raise InputError(f"{path}: line {line_no}: empty word (stray space)")
+                yield line_no, Sentence(words)
 
 
 def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:

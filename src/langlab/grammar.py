@@ -106,7 +106,7 @@ class RewriteRule:
         return f"{self.lhs} -> {' '.join(self.rhs) if self.rhs else 'EMPTY'}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """An ordered sequence of lowercase word tokens, free of punctuation."""
 
@@ -258,33 +258,51 @@ def _choice_limit(grammar: Grammar, config: GenerationConfig | None) -> dict[str
     return limits
 
 
-def _expand(
-    grammar: Grammar,
-    symbol: str,
-    rng: random.Random,
-    limits: dict[str, int],
-    state: dict[str, str],
-    words: list[str],
-    trace: list[int],
-) -> None:
-    if symbol in grammar.terminals:
-        words.append(symbol)
-        return
-    candidates = grammar.rules_for(symbol)
-    if symbol in limits:
-        candidates = candidates[: limits[symbol]]
-    if symbol in ("AuxBePres", "AuxBePast", "AuxHave"):
-        number = state["number"]
-        candidates = tuple(
-            i for i in candidates if _AUX_NUMBER[grammar.rules[i].rhs[0]] == number
-        )
-    index = candidates[rng.randrange(len(candidates))]
-    trace.append(index)
-    rule = grammar.rules[index]
-    if symbol == "NP":  # only the subject expands NP; record its number
-        state["number"] = "sing" if rule.rhs == ("NP_sing",) else "pl"
-    for sym in rule.rhs:
-        _expand(grammar, sym, rng, limits, state, words, trace)
+def _expander(grammar: Grammar, config: GenerationConfig | None):
+    """Compile the grammar, with the config's limits, into ``expand(rng)``.
+
+    Candidates are tabulated once per corpus: the limited rule indices of
+    every nonterminal, and of each agreeing auxiliary per subject number.
+    ``expand`` walks the derivation iteratively in preorder and makes one
+    ``rng.randrange`` per expanded nonterminal, single candidates included.
+    """
+    limits = _choice_limit(grammar, config)
+    rules = grammar.rules
+    choices = {sym: grammar.rules_for(sym)[: limits.get(sym)]
+               for sym in grammar.nonterminals}
+    for sym in ("AuxBePres", "AuxBePast", "AuxHave"):
+        limited = choices.get(sym, ())
+        if limited:  # agreeing candidates, keyed by subject number
+            choices[sym] = {number: tuple(
+                i for i in limited if _AUX_NUMBER[rules[i].rhs[0]] == number)
+                for number in ("", "sing", "pl")}
+    reversed_rhs = [rule.rhs[::-1] for rule in rules]
+    subject_number = {i: "sing" if rules[i].rhs == ("NP_sing",) else "pl"
+                      for i in grammar.rules_for("NP")}
+    terminals, start = grammar.terminals, grammar.start
+
+    def expand(rng: random.Random) -> Sentence:
+        randrange = rng.randrange
+        words: list[str] = []
+        trace: list[int] = []
+        number = ""  # set by the subject NP, the only NP expanded
+        stack = [start]
+        while stack:
+            symbol = stack.pop()
+            if symbol in terminals:
+                words.append(symbol)
+                continue
+            candidates = choices[symbol]
+            if type(candidates) is dict:
+                candidates = candidates[number]
+            index = candidates[randrange(len(candidates))]
+            trace.append(index)
+            if symbol == "NP":
+                number = subject_number[index]
+            stack.extend(reversed_rhs[index])
+        return Sentence(tuple(words), tuple(trace))
+
+    return expand
 
 
 def generate_sentence(
@@ -293,20 +311,16 @@ def generate_sentence(
     config: GenerationConfig | None = None,
 ) -> Sentence:
     """One random sentence with derivation trace, agreement enforced."""
-    limits = _choice_limit(grammar, config)
-    words: list[str] = []
-    trace: list[int] = []
-    _expand(grammar, grammar.start, rng, limits, {"number": ""}, words, trace)
-    return Sentence(tuple(words), tuple(trace))
+    return _expander(grammar, config)(rng)
 
 
 def generate_corpus(grammar: Grammar, config: GenerationConfig) -> list[Sentence]:
     """Exactly config.count sentences, a pure function of (grammar, config)."""
     if config.count < 0:
         raise ValueError(f"count must be non-negative, got {config.count}")
-    _choice_limit(grammar, config)  # validate sizes up front
+    expand = _expander(grammar, config)  # validates the sizes up front
     rng = random.Random(config.seed)
-    return [generate_sentence(grammar, rng, config) for _ in range(config.count)]
+    return [expand(rng) for _ in range(config.count)]
 
 
 def derives(grammar: Grammar, sentence: Sentence) -> bool:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpusio, models, plots, stats, tokenizer, training
+from .corpusio import InputError
 from .grammar import GenerationConfig, Sentence, default_grammar, generate_corpus
 from .training import MetricSeries, TrainingConfig
 from .transforms import TransformKind, apply_transform
@@ -59,10 +60,6 @@ EXPERIMENT_PRESETS = {
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class InputError(ValueError):
     pass
 
 

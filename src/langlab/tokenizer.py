@@ -70,7 +70,7 @@ class Vocabulary:
         return self.id_to_word[idx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncodedSequence:
     """Token ids starting with BOS and ending with EOS."""
 
@@ -91,21 +91,17 @@ def build_vocabulary(sentences: Iterable[Sentence]) -> Vocabulary:
             seen_any = True
             yield from s.words
 
-    vocab = Vocabulary(words())
+    vocab = Vocabulary(dict.fromkeys(words()))
     if not seen_any:
         raise ValueError("empty corpus")
     return vocab
 
 
 def encode(vocab: Vocabulary, s: Sentence) -> EncodedSequence:
-    ids = [BOS_ID]
-    for w in s.words:
-        idx = vocab.id_for(w)
-        if idx == UNK_ID:
-            vocab.unk_events += 1
-        ids.append(idx)
-    ids.append(EOS_ID)
-    return EncodedSequence(tuple(ids))
+    get = vocab.word_to_id.get
+    ids = (BOS_ID, *[get(w, UNK_ID) for w in s.words], EOS_ID)
+    vocab.unk_events += ids.count(UNK_ID)
+    return EncodedSequence(ids)
 
 
 def decode(vocab: Vocabulary, e: EncodedSequence) -> Sentence:

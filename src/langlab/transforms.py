@@ -40,20 +40,23 @@ class TransformError(ValueError):
     pass
 
 
-def apply_transform(kind: TransformKind, s: Sentence) -> Sentence:
-    if not s.words:
+def _transform_words(kind: TransformKind, words: tuple[str, ...]) -> tuple[str, ...]:
+    if not words:
         raise TransformError("empty input")
-    if NOT_TOKEN in s.words:
+    if NOT_TOKEN in words:
         raise TransformError("reserved token present")
     if kind is TransformKind.IDENTITY:
-        return s
+        return words
     if kind is TransformKind.REVERSE:
-        return Sentence(tuple(reversed(s.words)))
+        return words[::-1]
     if kind is TransformKind.PARITY_NEGATION:
-        if len(s.words) % 2 == 1:
-            return Sentence(s.words + (NOT_TOKEN,))
-        return Sentence((NOT_TOKEN,) + s.words)
+        return words + (NOT_TOKEN,) if len(words) % 2 == 1 else (NOT_TOKEN,) + words
     raise TransformError(f"unknown transform kind: {kind!r}")
+
+
+def apply_transform(kind: TransformKind, s: Sentence) -> Sentence:
+    words = _transform_words(kind, s.words)
+    return s if kind is TransformKind.IDENTITY else Sentence(words)
 
 
 def invert_parity_negation(s: Sentence) -> Sentence:
@@ -92,11 +95,10 @@ def transform_file(
     with open(out_path, "w", encoding="utf-8", newline="\n") as dst:
         for line_no, sentence in iter_corpus(in_path, normalize):
             try:
-                out = apply_transform(kind, sentence)
+                words = _transform_words(kind, sentence.words)
             except TransformError as exc:
                 raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
-            dst.write(out.text)
-            dst.write("\n")
+            dst.write(" ".join(words) + "\n")
             written += 1
     return written
 

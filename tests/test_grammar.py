@@ -273,3 +273,57 @@ def test_any_seed_generates_derivable(grammar, seed):
     s = generate_sentence(grammar, random.Random(seed))
     assert derives(grammar, s)
     assert 5 <= len(s.words) <= 8
+
+
+# ------------------------------------------- reference: recursive expansion
+
+_REF_AUX_NUMBER = {"is": "sing", "are": "pl", "was": "sing", "were": "pl",
+                   "has": "sing", "have": "pl"}
+_REF_LIMITED = {"nouns": ("N", "N_pl"), "verbs": ("V_base", "V_ing", "V_en"),
+                "modals": ("M",)}
+
+
+def _reference_expand(grammar, symbol, rng, limits, state, words, trace):
+    """The recursive generator the compiled expander replaced."""
+    if symbol in grammar.terminals:
+        words.append(symbol)
+        return
+    candidates = grammar.rules_for(symbol)
+    if symbol in limits:
+        candidates = candidates[: limits[symbol]]
+    if symbol in ("AuxBePres", "AuxBePast", "AuxHave"):
+        number = state["number"]
+        candidates = tuple(i for i in candidates
+                           if _REF_AUX_NUMBER[grammar.rules[i].rhs[0]] == number)
+    index = candidates[rng.randrange(len(candidates))]
+    trace.append(index)
+    rule = grammar.rules[index]
+    if symbol == "NP":
+        state["number"] = "sing" if rule.rhs == ("NP_sing",) else "pl"
+    for sym in rule.rhs:
+        _reference_expand(grammar, sym, rng, limits, state, words, trace)
+
+
+def _reference_sentence(grammar, rng, config):
+    limits = {sym: getattr(config, attr) for attr, syms in _REF_LIMITED.items()
+              for sym in syms if getattr(config, attr) is not None}
+    words, trace = [], []
+    _reference_expand(grammar, grammar.start, rng, limits, {"number": ""},
+                      words, trace)
+    return tuple(words), tuple(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1),
+       nouns=st.none() | st.integers(1, 40), verbs=st.none() | st.integers(1, 30),
+       modals=st.none() | st.integers(1, 5))
+def test_expander_matches_recursive_reference(grammar, seed, nouns, verbs, modals):
+    config = GenerationConfig(count=60, seed=seed, nouns=nouns, verbs=verbs,
+                              modals=modals)
+    rng = random.Random(seed)
+    expected = [_reference_sentence(grammar, rng, config) for _ in range(config.count)]
+    assert [(s.words, s.meta) for s in generate_corpus(grammar, config)] == expected
+    rng = random.Random(seed)
+    for words_meta in expected:
+        s = generate_sentence(grammar, rng, config)
+        assert (s.words, s.meta) == words_meta

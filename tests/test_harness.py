@@ -400,9 +400,11 @@ def bad_inputs(tmp_path_factory):
     (d / "truncated.ckpt").write_bytes(blob[:-5])
     (d / "doubled.ckpt").write_bytes(blob + blob)
     (d / "not.txt").write_text("the girl runs\n\n\nthe boy NOT runs\n")
+    (d / "space.txt").write_text("the girl runs\nthe boy  runs\n")
     # good.ckpt has vocab 8: one vocabulary smaller, one (from c.txt) larger
     save_vocabulary(build_vocabulary([Sentence.from_text("the")]), d / "small.vocab")
     save_vocabulary(build_vocabulary(read_corpus(d / "c.txt")), d / "big.vocab")
+    save_vocabulary(build_vocabulary([Sentence.from_text("a b c d")]), d / "eight.vocab")
     return d
 
 
@@ -461,6 +463,18 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                  cli.EXIT_INPUT,
                  r"^input error: \S*not\.txt: line 4: reserved token present$",
                  id="reserved-token"),
+    pytest.param(["transform", "--kind", "reverse", "--in", "{d}/space.txt",
+                  "--out", "{d}/space.out"],
+                 cli.EXIT_INPUT, r"^input error: \S*space\.txt: line 2: empty word",
+                 id="transform-stray-space"),
+    pytest.param(["train", "--corpus", "{d}/space.txt", "--steps", "2",
+                  "--out-dir", "{d}/space"],
+                 cli.EXIT_INPUT, r"^input error: \S*space\.txt: line 2: empty word",
+                 id="train-stray-space"),
+    pytest.param(["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
+                  "--corpus", "{d}/space.txt"],
+                 cli.EXIT_INPUT, r"^input error: \S*space\.txt: line 2: empty word",
+                 id="eval-stray-space"),
 ])
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code

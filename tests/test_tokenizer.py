@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from langlab.grammar import Sentence
 from langlab.tokenizer import (
     BOS_ID,
     EOS_ID,
+    EncodedSequence,
     PAD_ID,
     SPECIAL_TOKENS,
     UNK_ID,
@@ -147,3 +151,45 @@ def test_round_trip_property(words):
     s = Sentence(tuple(words))
     vocab = build_vocabulary([s])
     assert decode(vocab, encode(vocab, s)).words == s.words
+
+
+def _reference_encode(vocab, s):
+    """The per-word loop encode() replaced: (ids, UNK substitutions)."""
+    ids, unk = [BOS_ID], 0
+    for w in s.words:
+        idx = vocab.id_for(w)
+        unk += idx == UNK_ID
+        ids.append(idx)
+    return tuple(ids + [EOS_ID]), unk
+
+
+_small_words = st.lists(st.sampled_from("a b c d e f g h <unk> <pad>".split()),
+                        max_size=9).map(tuple)
+
+
+@settings(max_examples=150)
+@given(train=st.lists(_small_words.filter(bool), min_size=1, max_size=6),
+       probe=_small_words)
+def test_encode_and_vocabulary_match_reference(train, probe):
+    vocab = build_vocabulary(Sentence(w) for w in train)
+    order = []
+    for w in (w for words in train for w in words):
+        if w not in order and w not in SPECIAL_TOKENS:
+            order.append(w)
+    assert vocab.id_to_word == list(SPECIAL_TOKENS) + order
+    ids, unk = _reference_encode(vocab, Sentence(probe))
+    before = vocab.unk_events
+    assert encode(vocab, Sentence(probe)).ids == ids
+    assert vocab.unk_events == before + unk
+
+
+@pytest.mark.parametrize("value", [
+    Sentence(("the", "dog", "runs"), (0, 1, 2)),
+    Sentence(("the", "dog")),
+    EncodedSequence((1, 4, 5, 2)),
+], ids=["sentence-meta", "sentence", "encoded"])
+def test_value_types_are_slotted_and_copyable(value):
+    assert not hasattr(value, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value)
+        assert hash(twin) == hash(value)

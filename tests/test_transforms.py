@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langlab.corpusio import read_corpus, write_corpus
+from langlab.corpusio import InputError, read_corpus, write_corpus
 from langlab.grammar import Sentence
 from langlab.transforms import (
     NOT_TOKEN,
@@ -168,6 +168,29 @@ def test_transform_file_round_trip(tmp_path, small_corpus):
     assert n == len(small_corpus)
     transform_file(TransformKind.REVERSE, mid, back)
     assert back.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+def test_transform_file_matches_per_sentence_reference(tmp_path, small_corpus, kind):
+    src, out = tmp_path / "src.txt", tmp_path / "out.txt"
+    src.write_text("\n".join(["the girl runs", ""] + [s.text for s in small_corpus])
+                   + "\n")  # a blank line is skipped, not transformed
+    transform_file(kind, src, out)
+    expected = "".join(apply_transform(kind, s).text + "\n"
+                       for s in read_corpus(src))
+    assert out.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("line", ["the cat  sat", "   ", "the dog ran ", " the dog"])
+def test_stray_space_is_an_input_error(tmp_path, line):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"the girl runs\n\n{line}\n")
+    with pytest.raises(InputError, match=r"bad\.txt: line 3: empty word"):
+        read_corpus(src)
+    with pytest.raises(InputError, match=r"bad\.txt: line 3: empty word"):
+        transform_file(TransformKind.REVERSE, src, tmp_path / "out.txt")
+    assert [s.text for s in read_corpus(src, normalize=True)] == \
+        ["the girl runs", " ".join(line.split())][: 2 if line.strip() else 1]
 
 
 def test_corpus_file_format(tmp_path, small_corpus):

@@ -1,14 +1,20 @@
 """Regenerate the frozen model outputs used as regression anchors.
 
-Run from the repository root:  PYTHONPATH=src python tools/make_golden.py
-It writes tests/data/transformer_golden.json and tests/data/lstm_golden.json:
-each holds a model's logits and every parameter gradient of its training
-loss.  Only rerun this when an intentional change to
-initialization or the forward pass invalidates the stored values; commit the
-regenerated files.  The stored LSTM values come from the per-timestep forward
-that Tape.lstm_layer replaced, so a rerun changes their last digits only.
+Run from the repository root, naming each golden file to write:
+
+    PYTHONPATH=src python tools/make_golden.py transformer
+    PYTHONPATH=src python tools/make_golden.py lstm
+
+``transformer`` writes tests/data/transformer_golden.json and ``lstm`` writes
+tests/data/lstm_golden.json; each holds a model's logits and every parameter
+gradient of its training loss.  Only rerun this for the model whose
+initialization or forward pass an intentional change invalidated, and commit
+the regenerated file; the other file is left as it is.  The stored LSTM values
+come from the per-timestep forward that Tape.lstm_layer replaced, so a rerun
+of ``lstm`` changes their last digits only.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -63,12 +69,18 @@ def _golden(name, config, params, forward, ids):
     })
 
 
-def main():
-    ids = np.array(IDS)
-    _golden("transformer_golden.json", CONFIG,
-            init_model(TransformerConfig(**CONFIG)), transformer_forward, ids)
-    _golden("lstm_golden.json", LSTM_CONFIG,
-            init_model(LstmConfig(**LSTM_CONFIG)), lstm_forward, ids)
+GOLDENS = {"transformer": (TransformerConfig, CONFIG, transformer_forward),
+           "lstm": (LstmConfig, LSTM_CONFIG, lstm_forward)}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("golden", nargs="+", choices=sorted(GOLDENS),
+                        help="golden file(s) to regenerate")
+    for name in parser.parse_args(argv).golden:
+        config_cls, config, forward = GOLDENS[name]
+        _golden(f"{name}_golden.json", config, init_model(config_cls(**config)),
+                forward, np.array(IDS))
 
 
 if __name__ == "__main__":
