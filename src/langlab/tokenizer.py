@@ -8,6 +8,8 @@ bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -83,23 +85,16 @@ class EncodedSequence:
 
 def build_vocabulary(sentences: Iterable[Sentence]) -> Vocabulary:
     """Vocabulary over every distinct corpus word, first-appearance order."""
-    seen_any = False
-
-    def words():
-        nonlocal seen_any
-        for s in sentences:
-            seen_any = True
-            yield from s.words
-
-    vocab = Vocabulary(dict.fromkeys(words()))
-    if not seen_any:
+    sentences = iter(sentences)
+    first = next(sentences, None)
+    if first is None:
         raise ValueError("empty corpus")
-    return vocab
+    words = chain(first.words, chain.from_iterable(map(attrgetter("words"), sentences)))
+    return Vocabulary(dict.fromkeys(words))
 
 
 def encode(vocab: Vocabulary, s: Sentence) -> EncodedSequence:
-    get = vocab.word_to_id.get
-    ids = (BOS_ID, *[get(w, UNK_ID) for w in s.words], EOS_ID)
+    ids = (BOS_ID, *map(vocab.word_to_id.get, s.words, repeat(UNK_ID)), EOS_ID)
     vocab.unk_events += ids.count(UNK_ID)
     return EncodedSequence(ids)
 
