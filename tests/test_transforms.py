@@ -189,8 +189,7 @@ def test_stray_space_is_an_input_error(tmp_path, line):
         read_corpus(src)
     with pytest.raises(InputError, match=r"bad\.txt: line 3: empty word"):
         transform_file(TransformKind.REVERSE, src, tmp_path / "out.txt")
-    assert [s.text for s in read_corpus(src, normalize=True)] == \
-        ["the girl runs", " ".join(line.split())][: 2 if line.strip() else 1]
+    assert all("" not in s.words for s in read_corpus(src, normalize=True))
 
 
 def test_corpus_file_format(tmp_path, small_corpus):
