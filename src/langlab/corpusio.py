@@ -45,6 +45,10 @@ def iter_corpus(path: str | Path,
                 words = tuple(line.split(" "))
                 if "" in words:
                     raise InputError(f"{path}: line {line_no}: empty word (stray space)")
+                if not line.isprintable():  # of all whitespace, only " " passes
+                    c = next(c for c in line if not c.isprintable())
+                    kind = "whitespace" if c.isspace() else "unprintable character"
+                    raise InputError(f"{path}: line {line_no}: {kind} U+{ord(c):04X} inside a word")
                 yield line_no, Sentence(words)
 
 

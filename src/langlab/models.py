@@ -1,14 +1,15 @@
 """Miniature decoder-only transformer and LSTM language models.
 
-Both forwards map a batch of token ids [batch, positions] to next-token
-logits [batch, positions, vocab] and are causal: position i only sees tokens
-at positions <= i.  The transformer uses learned positional embeddings,
-pre-layer-norm blocks, masked multi-head attention, a gelu feed-forward, and
-ties the output projection to the token embedding.  The LSTM is a standard
-stacked recurrence with gate order (input, forget, cell, output), one fused
-Tape.lstm_layer op per layer, and an untied output projection applied to all
-positions in one fused Tape.linear op.  Every transformer projection but the
-tied output one is a Tape.linear op as well.
+Both forwards map token ids [batch, positions] to next-token logits and are
+causal: position i only sees tokens at positions <= i.  Given lengths, only
+the positions t < lengths[i] of each row i (a prefix) are computed, and their
+logits come packed batch-major as [sum(lengths), vocab]; without, all are,
+as [batch, positions, vocab].  The transformer runs on packed rows: learned
+positional embeddings, pre-layer-norm blocks, masked multi-head attention, a
+gelu feed-forward, Tape.linear projections and an output projection tied to
+the token embedding.  The LSTM recurrence (gates input, forget, cell, output;
+one fused Tape.lstm_layer op per layer) runs on every position, and only its
+Tape.linear output projection on packed rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numcore import Tape, Tensor
+from .numcore import ShapeError, Tape, Tensor
 
 __all__ = [
     "TransformerConfig",
@@ -153,20 +154,26 @@ def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
     raise TypeError(f"unsupported config type: {type(config).__name__}")
 
 
-def transformer_forward(params: ModelParameters, ids: np.ndarray,
-                        tape: Tape) -> Tensor:
-    """Logits [batch, positions, vocab] under causal masked attention."""
+def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
+    """[batch, seq] mask of the first lengths[i] positions of each row i."""
+    batch, seq = ids.shape
+    lengths = np.full(batch, seq) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (batch,) or ((lengths < 0) | (lengths > seq)).any():
+        raise ShapeError(f"lengths {lengths.tolist()} must be {batch} counts in 0..{seq}")
+    return np.arange(seq) < lengths[:, None]
+
+
+def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
+                        lengths=None) -> Tensor:
+    """Logits (packed given lengths) under causal masked attention."""
     cfg: TransformerConfig = params.config
     p = params.tensors
     ids = np.asarray(ids, dtype=np.int64)
-    batch, seq = ids.shape
-    if seq > cfg.max_seq:
-        raise ValueError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
-    d = cfg.model_dim
-
-    x = tape.embedding_lookup(p["tok_emb"], ids)
-    pos = tape.slice_axis(p["pos_emb"], 0, 0, seq)
-    x = tape.add_bias(x, pos)
+    if ids.shape[1] > cfg.max_seq:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq {cfg.max_seq}")
+    keep = _keep_mask(ids, lengths)
+    x = tape.add(tape.embedding_lookup(p["tok_emb"], ids[keep]),
+                 tape.embedding_lookup(p["pos_emb"], np.nonzero(keep)[1]))
 
     def linear(t, w, b):  # parameters of the current layer, prefix pre
         return tape.linear(t, p[pre + w], p[pre + b])
@@ -177,7 +184,7 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray,
         q = linear(h, "attn.wq", "attn.bq")
         k = linear(h, "attn.wk", "attn.bk")
         v = linear(h, "attn.wv", "attn.bv")
-        merged = tape.causal_attention(q, k, v, cfg.heads)
+        merged = tape.causal_attention(q, k, v, cfg.heads, keep)
         x = tape.add(x, linear(merged, "attn.wo", "attn.bo"))
 
         h = tape.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -185,27 +192,27 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray,
         x = tape.add(x, linear(ff, "ff.w2", "ff.b2"))
 
     x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
-    flat = tape.reshape(x, (batch * seq, d))
-    logits = tape.matmul(flat, tape.transpose(p["tok_emb"]))  # tied projection
-    return tape.reshape(logits, (batch, seq, cfg.vocab))
+    logits = tape.matmul(x, tape.transpose(p["tok_emb"]))  # tied projection
+    return tape.reshape(logits, ids.shape + (cfg.vocab,)) if lengths is None else logits
 
 
-def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor:
-    """Logits [batch, positions, vocab] from the stacked LSTM recurrence."""
+def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths=None) -> Tensor:
+    """Logits (packed given lengths) from the stacked LSTM recurrence."""
     cfg: LstmConfig = params.config
     p = params.tensors
-    x = tape.embedding_lookup(p["embed"], np.asarray(ids, dtype=np.int64))
+    x = tape.embedding_lookup(p["embed"], ids)
     for i in range(cfg.layers):
         x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"])
-    # one output projection over all positions
+    if lengths is not None:
+        x = tape.masked_rows(x, _keep_mask(np.asarray(ids), lengths))
     return tape.linear(x, p["out.w"], p["out.b"])
 
 
-def forward(params: ModelParameters, ids: np.ndarray, tape: Tape) -> Tensor:
+def forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths=None) -> Tensor:
     if params.arch == "transformer":
-        return transformer_forward(params, ids, tape)
+        return transformer_forward(params, ids, tape, lengths)
     if params.arch == "lstm":
-        return lstm_forward(params, ids, tape)
+        return lstm_forward(params, ids, tape, lengths)
     raise ValueError(f"unknown architecture tag: {params.arch!r}")
 
 
@@ -266,15 +273,9 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     if arch not in _CONFIG_TYPES:
         raise CheckpointError(f"{path}: unknown architecture tag {arch!r}")
     cfg_cls = _CONFIG_TYPES[arch]
-    raw = {}
-    for _ in range(read_u32()):
-        key = read_str()
-        raw[key] = read_str()
-    kwargs = {}
-    for f in fields(cfg_cls):
-        if f.name in raw:
-            kwargs[f.name] = _convert(raw[f.name], f.type)
-    config = cfg_cls(**kwargs)
+    raw = dict((read_str(), read_str()) for _ in range(read_u32()))
+    config = cfg_cls(**{f.name: _convert(raw[f.name], f.type)
+                        for f in fields(cfg_cls) if f.name in raw})
     tensors: dict[str, Tensor] = {}
     for _ in range(read_u32()):
         name = read_str()

@@ -10,7 +10,8 @@ Most ops are elementwise, structural or row-wise primitives.  Three are fused
 ops with hand-written backwards: linear (x @ w + b over the last axis of x),
 causal_attention (multi-head masked self-attention) and lstm_layer (one LSTM
 layer over a whole sequence, with backpropagation through time); each emits
-one tape record.
+one tape record.  Padding-free batches are packed: one row per kept position,
+batch-major, the kept positions of each sequence a prefix of it.
 """
 
 from __future__ import annotations
@@ -241,15 +242,8 @@ class Tape:
         dim = a.shape[axis]
         if not (0 <= start < stop <= dim):
             raise ShapeError(f"slice_axis: range [{start}:{stop}] on axis {axis} of {a.shape}")
-        sl = tuple(slice(None) if i != axis % a.data.ndim else slice(start, stop)
-                   for i in range(a.data.ndim))
-
-        def bwd(g):
-            full = np.zeros_like(a.data)
-            full[sl] = g
-            return (full,)
-
-        return self._emit(a.data[sl], (a,), bwd)
+        return self._gather(a, tuple(slice(None) if i != axis % a.data.ndim
+                                     else slice(start, stop) for i in range(a.data.ndim)))
 
     def embedding_lookup(self, table: Tensor, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
@@ -267,6 +261,23 @@ class Tape:
 
         return self._emit(table.data[ids], (table,), bwd)
 
+    def masked_rows(self, a: Tensor, mask: np.ndarray) -> Tensor:
+        """The rows a.data[mask] of a boolean mask over a's leading axes."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim >= a.data.ndim or a.shape[:mask.ndim] != mask.shape:
+            raise ShapeError(f"masked_rows: mask {mask.shape} vs {a.shape}")
+        return self._gather(a, mask)
+
+    def _gather(self, a: Tensor, index) -> Tensor:
+        """a.data[index], its gradient scattered back into zeros."""
+
+        def bwd(g):
+            full = np.zeros_like(a.data)
+            full[index] = g
+            return (full,)
+
+        return self._emit(a.data[index], (a,), bwd)
+
     # ----------------------------------------------------------- row-wise ops
 
     def softmax(self, a: Tensor) -> Tensor:
@@ -280,28 +291,31 @@ class Tape:
 
         return self._emit(y, (a,), bwd)
 
-    def causal_attention(self, q: Tensor, k: Tensor, v: Tensor,
-                         heads: int) -> Tensor:
-        """Multi-head causal self-attention of [batch, seq, dim] inputs.
-
-        Each head sees its dim/heads slice of the last axis; scores are
-        q @ k^T * 1/sqrt(dim/heads) plus a causal mask (position i attends to
-        positions <= i), softmaxed with max-subtraction.  The head outputs
-        are merged back to [batch, seq, dim].
-        """
-        if q.data.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
-            raise ShapeError(
-                f"causal_attention: shapes {q.shape}, {k.shape}, {v.shape}")
-        batch, seq, dim = q.shape
+    def causal_attention(self, q: Tensor, k: Tensor, v: Tensor, heads: int,
+                         keep: np.ndarray) -> Tensor:
+        """Multi-head causal self-attention of packed [rows, dim] inputs, one
+        row per true entry of keep, a [batch, seq] mask of row prefixes: the
+        rows are scattered into [batch, heads, seq, dim/heads] (zeros
+        elsewhere), scores q @ k^T / sqrt(dim/heads) plus a causal mask (i
+        attends to j <= i, all kept) softmaxed with max-subtraction, and the
+        kept rows of the head outputs gathered."""
+        keep = np.asarray(keep, dtype=bool)
+        if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape or keep.ndim != 2
+                or keep.sum() != q.shape[0] or (keep[:, 1:] > keep[:, :-1]).any()):
+            raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} vs "
+                             f"keep {keep.shape} ({keep.sum()}), a prefix of each row")
+        (batch, seq), dim = keep.shape, q.shape[1]
         if heads < 1 or dim % heads:
             raise ShapeError(f"causal_attention: dim {dim} not divisible by {heads} heads")
         dh = dim // heads
 
-        def split(x):  # [b, s, d] -> [b, h, s, dh]
-            return x.reshape(batch, seq, heads, dh).transpose(0, 2, 1, 3)
+        def split(x):  # kept rows [n, d] -> [b, h, s, dh]
+            full = np.zeros((batch, seq, heads, dh))
+            full[keep] = x.reshape(-1, heads, dh)
+            return full.transpose(0, 2, 1, 3)
 
-        def merge(x):  # [b, h, s, dh] -> [b, s, d]
-            return x.transpose(0, 2, 1, 3).reshape(batch, seq, dim)
+        def merge(x):  # [b, h, s, dh] -> kept rows [n, d]
+            return x.transpose(0, 2, 1, 3)[keep].reshape(-1, dim)
 
         qh, kh, vh = split(q.data), split(k.data), split(v.data)
         c = 1.0 / np.sqrt(dh)

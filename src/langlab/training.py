@@ -229,9 +229,10 @@ def train(
     batch_iter = batches()
     for step in range(1, config.total_steps + 1):
         batch = next(batch_iter)
+        keep = batch[:, 1:] != PAD_ID  # a prefix of each row: padding is on the right
         tape = Tape()
-        logits = models.forward(params, batch[:, :-1], tape)
-        loss = tape.cross_entropy(logits, batch[:, 1:], ignore_id=PAD_ID)
+        logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))
+        loss = tape.cross_entropy(logits, batch[:, 1:][keep])
         loss_value = float(loss.data)
         if not loss_value < _MAX_LOSS:
             raise DivergenceError(
@@ -261,11 +262,11 @@ def evaluate_perplexity(
     total_tokens = 0
     for lo in range(0, len(corpus), batch_size):
         batch = _pad_batch([e.ids for e in corpus[lo : lo + batch_size]])
-        targets = batch[:, 1:]
+        keep = batch[:, 1:] != PAD_ID
         tape = Tape(record=False)
-        logits = models.forward(params, batch[:, :-1], tape)
-        loss = tape.cross_entropy(logits, targets, ignore_id=PAD_ID)
-        n = int((targets != PAD_ID).sum())
+        logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))
+        loss = tape.cross_entropy(logits, batch[:, 1:][keep])
+        n = logits.shape[0]
         total_nll += float(loss.data) * n
         total_tokens += n
     mean = total_nll / total_tokens

@@ -157,6 +157,13 @@ def test_criterion_3_gradient_correctness():
     w43, b3 = Tensor(lin_rng.normal(size=(4, 3))), Tensor(lin_rng.normal(size=3))
     check(lambda t, x: t.sum_all(t.mul(t.linear(x, w43, b3), t.linear(x, w43, b3))),
           lin_rng.normal(size=(2, 3, 4)))
+    att_rng = np.random.default_rng(96)
+    keep = np.arange(4) < np.array([[4], [2], [3]])  # ragged row prefixes, 9 kept
+    w94 = Tensor(att_rng.normal(size=(9, 4)))
+    check(lambda t, x: t.sum_all(t.mul(t.causal_attention(x, x, x, 2, keep), w94)),
+          att_rng.normal(size=(9, 4)))
+    check(lambda t, x: t.sum_all(t.mul(t.masked_rows(x, keep), t.masked_rows(x, keep))),
+          att_rng.normal(size=(3, 4, 2)))
 
     # Full losses at the stated tiny configs (vocab 16, seq 8, dim 16),
     # checked along central differences in random directions plus the

@@ -401,6 +401,8 @@ def bad_inputs(tmp_path_factory):
     (d / "doubled.ckpt").write_bytes(blob + blob)
     (d / "not.txt").write_text("the girl runs\n\n\nthe boy NOT runs\n")
     (d / "space.txt").write_text("the girl runs\nthe boy  runs\n")
+    (d / "tab.txt").write_text("the girl runs\nthe boy\truns\n")
+    (d / "nbsp.txt").write_text("the girl runs\nthe boy\u00a0runs\n", encoding="utf-8")
     # good.ckpt has vocab 8: one vocabulary smaller, one (from c.txt) larger
     save_vocabulary(build_vocabulary([Sentence.from_text("the")]), d / "small.vocab")
     save_vocabulary(build_vocabulary(read_corpus(d / "c.txt")), d / "big.vocab")
@@ -475,6 +477,21 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                   "--corpus", "{d}/space.txt"],
                  cli.EXIT_INPUT, r"^input error: \S*space\.txt: line 2: empty word",
                  id="eval-stray-space"),
+    pytest.param(["transform", "--kind", "reverse", "--in", "{d}/tab.txt",
+                  "--out", "{d}/tab.out"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*tab\.txt: line 2: whitespace U\+0009 inside a word$",
+                 id="transform-tab"),
+    pytest.param(["train", "--corpus", "{d}/nbsp.txt", "--steps", "2",
+                  "--out-dir", "{d}/nbsp"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*nbsp\.txt: line 2: whitespace U\+00A0 inside a word$",
+                 id="train-nbsp"),
+    pytest.param(["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
+                  "--corpus", "{d}/tab.txt"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*tab\.txt: line 2: whitespace U\+0009 inside a word$",
+                 id="eval-tab"),
 ])
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code

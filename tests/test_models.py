@@ -17,7 +17,7 @@ from langlab.models import (
     save_checkpoint,
     transformer_forward,
 )
-from langlab.numcore import Tape
+from langlab.numcore import ShapeError, Tape
 from langlab.tokenizer import PAD_ID
 
 TINY_T = TransformerConfig(layers=1, model_dim=16, heads=2, ff_dim=32,
@@ -141,6 +141,57 @@ def test_fresh_init_loss_near_uniform(arch_cfg):
     logits = forward(params, IDS[:, :-1], tape)
     loss = float(tape.cross_entropy(logits, IDS[:, 1:]).data)
     assert abs(loss - math.log(arch_cfg.vocab)) < 0.05 * math.log(arch_cfg.vocab)
+
+
+@pytest.mark.parametrize("arch_cfg", [TINY_T, TINY_L], ids=["transformer", "lstm"])
+def test_packed_logits_bit_identical_to_full_forward(arch_cfg):
+    """The logits of a ragged prefix of each row are the full forward's at
+    those positions, bit for bit.  That needs BLAS to do the same arithmetic
+    for a row whatever the row count of the product; at this config it does,
+    but a kernel can round an entry's last bit differently when the row
+    count moves the entry into a remainder block (OpenBLAS, vocab 265) or
+    when a single row goes to gemv."""
+    params = init_model(arch_cfg)
+    full = forward(params, IDS, Tape(record=False)).data
+    for lengths in ([8, 5], [3, 6], [0, 8], [8, 8]):
+        keep = np.arange(8) < np.array(lengths)[:, None]
+        out = forward(params, IDS, Tape(record=False), np.array(lengths)).data
+        assert out.shape == (sum(lengths), arch_cfg.vocab)
+        assert out.tobytes() == full[keep].tobytes()
+
+
+@pytest.mark.parametrize("arch_cfg", [TINY_T, TINY_L], ids=["transformer", "lstm"])
+def test_packed_gradients_match_ignore_id_path(arch_cfg):
+    """The training loss over packed rows has the gradients of the full
+    forward's loss with PAD targets ignored, within the golden bound."""
+    params = init_model(arch_cfg)
+    ids = IDS.copy()
+    ids[0, 6:] = ids[1, 3:] = PAD_ID  # right padding, as the batcher builds it
+    targets = ids[:, 1:]
+    keep = targets != PAD_ID
+    losses, grads = [], []
+    for packed in (False, True):
+        tape = Tape()
+        if packed:
+            logits = forward(params, ids[:, :-1], tape, keep.sum(1))
+            loss = tape.cross_entropy(logits, targets[keep])
+        else:
+            loss = tape.cross_entropy(forward(params, ids[:, :-1], tape), targets,
+                                      ignore_id=PAD_ID)
+        tape.backward(loss)
+        losses.append(float(loss.data))
+        grads.append({n: t.grad.copy() for n, t in params.tensors.items()})
+    assert abs(losses[1] - losses[0]) <= 1e-12 * max(abs(losses[0]), 1.0)
+    for name, ref in grads[0].items():
+        assert np.all(np.abs(grads[1][name] - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+
+@pytest.mark.parametrize("arch_cfg", [TINY_T, TINY_L], ids=["transformer", "lstm"])
+def test_lengths_shape_and_range_checked(arch_cfg):
+    params = init_model(arch_cfg)
+    for bad in ([8], [8, 5, 1], [[8, 5]], [9, 5], [-1, 5]):
+        with pytest.raises(ShapeError, match=r"lengths .* must be 2 counts in 0\.\.8"):
+            forward(params, IDS, Tape(record=False), np.array(bad))
 
 
 def test_lstm_gates_match_scalar_oracle():

@@ -223,6 +223,21 @@ def test_fd_embedding_lookup():
                                     t.embedding_lookup(x, ids))), rand(3, 4))
 
 
+def test_fd_masked_rows():
+    rng = np.random.default_rng(11)  # own generator: RNG's draws stay as they were
+    mask = np.array([[True, True, False], [True, False, False]])
+    x, w = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(3, 4)))
+    assert Tape().masked_rows(x, mask).data.tobytes() == x.data[mask].tobytes()
+    fd(lambda t, v: t.sum_all(t.mul(t.masked_rows(v, mask), w)), x)
+
+
+def test_masked_rows_shape_errors():
+    x = Tensor(np.zeros((2, 3, 4)))
+    for bad in (np.ones((3, 2), dtype=bool), np.ones((2, 3, 4), dtype=bool)):
+        with pytest.raises(ShapeError, match=r"masked_rows: mask .* vs \(2, 3, 4\)"):
+            Tape().masked_rows(x, bad)
+
+
 def test_fd_softmax():
     w = rand(4, 6)
     fd(lambda t, x: t.sum_all(t.mul(t.softmax(x), w)), rand(4, 6))
@@ -256,6 +271,31 @@ def attention_case(draw):
     return q, k, v, w, heads
 
 
+@st.composite
+def ragged_attention_case(draw):
+    """(q, k, v, loss weights, heads, keep): packed rows for a prefix of 0
+    to seq positions of each row, one row whole, with the shapes of
+    attention_case."""
+    batch = draw(st.integers(1, 3))
+    seq = draw(st.integers(1, 6))
+    heads = draw(st.sampled_from((1, 2, 4)))
+    dim = heads * draw(st.integers(1, 3))
+    lengths = [seq] + draw(st.lists(st.integers(0, seq), min_size=batch - 1,
+                                    max_size=batch - 1))
+    keep = np.arange(seq) < np.array(lengths)[:, None]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k, v, w = (Tensor(rng.normal(size=(int(keep.sum()), dim))) for _ in range(4))
+    return q, k, v, w, heads, keep
+
+
+def full_attention(t, q, k, v, heads):
+    """causal_attention of [batch, seq, dim] inputs with every position kept."""
+    rows = (q.shape[0] * q.shape[1], q.shape[2])
+    out = t.causal_attention(*(t.reshape(x, rows) for x in (q, k, v)), heads,
+                             np.ones(q.shape[:2], dtype=bool))
+    return t.reshape(out, q.shape)
+
+
 def fd_scaled(f, x, h=1e-5):
     """Worst |analytic - central difference| over the largest gradient entry.
 
@@ -286,7 +326,22 @@ def test_fd_causal_attention(which, case):
     def f(t, x):
         args = list(qkv)
         args[which] = x
-        return t.sum_all(t.mul(t.causal_attention(*args, heads), w))
+        return t.sum_all(t.mul(full_attention(t, *args, heads), w))
+
+    err = fd_scaled(f, qkv[which])
+    assert err < 1e-7, f"finite-difference error {err:.3e}"
+
+
+@pytest.mark.parametrize("which", range(3), ids=("q", "k", "v"))
+@given(case=ragged_attention_case())
+@settings(max_examples=25, deadline=None)
+def test_fd_causal_attention_ragged(which, case):
+    *qkv, w, heads, keep = case
+
+    def f(t, x):
+        args = list(qkv)
+        args[which] = x
+        return t.sum_all(t.mul(t.causal_attention(*args, heads, keep), w))
 
     err = fd_scaled(f, qkv[which])
     assert err < 1e-7, f"finite-difference error {err:.3e}"
@@ -311,7 +366,7 @@ def test_causal_attention_matches_per_head_loop():
     data = [RNG.normal(size=(3, 5, 8)) for _ in range(3)]
     w = rand(3, 5, 8)
     results = []
-    for op in (Tape.causal_attention, _per_head_attention):
+    for op in (full_attention, _per_head_attention):
         tape = Tape()
         qkv = [Tensor(x.copy(), requires_grad=True) for x in data]
         out = op(tape, *qkv, 4)
@@ -324,20 +379,26 @@ def test_causal_attention_matches_per_head_loop():
 @pytest.mark.parametrize("which", range(2), ids=("k", "v"))
 def test_causal_attention_is_causal(which):
     q, k, v = rand(2, 6, 4), rand(2, 6, 4), rand(2, 6, 4)
-    base = Tape().causal_attention(q, k, v, 2).data
+    base = full_attention(Tape(), q, k, v, 2).data
     for j in range(6):
         changed = [k.data.copy(), v.data.copy()]
         changed[which][:, j, :] += RNG.normal(size=(2, 4))
-        out = Tape().causal_attention(q, Tensor(changed[0]), Tensor(changed[1]), 2).data
+        out = full_attention(Tape(), q, Tensor(changed[0]), Tensor(changed[1]), 2).data
         assert out[:, :j].tobytes() == base[:, :j].tobytes()
         assert not np.array_equal(out[:, j:], base[:, j:])
 
 
 def test_causal_attention_shape_errors():
+    keep = np.ones((1, 2), dtype=bool)
     with pytest.raises(ShapeError, match="not divisible"):
-        Tape().causal_attention(rand(1, 2, 6), rand(1, 2, 6), rand(1, 2, 6), 4)
-    with pytest.raises(ShapeError, match=r"\(1, 2, 4\).*\(1, 3, 4\)"):
-        Tape().causal_attention(rand(1, 2, 4), rand(1, 3, 4), rand(1, 2, 4), 2)
+        Tape().causal_attention(rand(2, 6), rand(2, 6), rand(2, 6), 4, keep)
+    with pytest.raises(ShapeError, match=r"\(2, 4\).*\(3, 4\)"):
+        Tape().causal_attention(rand(2, 4), rand(3, 4), rand(2, 4), 2, keep)
+    with pytest.raises(ShapeError, match=r"v \(3, 4\) vs keep \(1, 2\) \(2\), a prefix"):
+        Tape().causal_attention(rand(3, 4), rand(3, 4), rand(3, 4), 2, keep)
+    with pytest.raises(ShapeError, match="a prefix of each row"):
+        Tape().causal_attention(rand(1, 4), rand(1, 4), rand(1, 4), 2,
+                                np.array([[False, True]]))
 
 
 @st.composite

@@ -192,6 +192,18 @@ def test_stray_space_is_an_input_error(tmp_path, line):
     assert all("" not in s.words for s in read_corpus(src, normalize=True))
 
 
+@pytest.mark.parametrize("char", ["\t", "\u00a0"], ids=["tab", "nbsp"])
+def test_whitespace_inside_a_word_is_an_input_error(tmp_path, char):
+    src = tmp_path / "bad.txt"
+    src.write_text(f"the girl runs\n\nthe cat{char}sat\n", encoding="utf-8")
+    message = rf"bad\.txt: line 3: whitespace U\+{ord(char):04X} inside a word$"
+    with pytest.raises(InputError, match=message):
+        read_corpus(src)
+    with pytest.raises(InputError, match=message):
+        transform_file(TransformKind.REVERSE, src, tmp_path / "out.txt")
+    assert [s.words for s in read_corpus(src, normalize=True)][-1] == ("the", "cat", "sat")
+
+
 def test_corpus_file_format(tmp_path, small_corpus):
     path = tmp_path / "c.txt"
     write_corpus(path, small_corpus[:10])
