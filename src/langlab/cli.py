@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
@@ -81,6 +82,15 @@ def _cmd_eval(args) -> int:
             f"{args.checkpoint} was trained on {params.config.vocab}"
         )
     _, encoded = _encode_corpus(args.corpus, vocab)
+    if params.arch == "transformer":
+        max_seq = params.config.max_seq
+        index = next((i for i, e in enumerate(encoded) if e.length - 1 > max_seq), None)
+        if index is not None:  # the line number of the index-th sentence
+            line_no, _ = next(islice(corpusio.iter_corpus(args.corpus), index, None))
+            raise harness.InputError(
+                f"{args.corpus}: line {line_no}: input width {encoded[index].length - 1} "
+                f"exceeds max_seq {max_seq} of checkpoint {args.checkpoint}"
+            )
     result = training.evaluate_perplexity(params, encoded)
     print(f"loss={result.loss:.17g}")
     print(f"perplexity={result.perplexity:.17g}")

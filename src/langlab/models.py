@@ -1,15 +1,16 @@
 """Miniature decoder-only transformer and LSTM language models.
 
-Both forwards map token ids [batch, positions] to next-token logits and are
-causal: position i only sees tokens at positions <= i.  Given lengths, only
-the positions t < lengths[i] of each row i (a prefix) are computed, and their
-logits come packed batch-major as [sum(lengths), vocab]; without, all are,
-as [batch, positions, vocab].  The transformer runs on packed rows: learned
-positional embeddings, pre-layer-norm blocks, masked multi-head attention, a
-gelu feed-forward, Tape.linear projections and an output projection tied to
-the token embedding.  The LSTM recurrence (gates input, forget, cell, output;
-one fused Tape.lstm_layer op per layer) runs on every position, and only its
-Tape.linear output projection on packed rows.
+Both forwards map token ids [batch, positions] and lengths [batch] to
+next-token logits.  Only the positions t < lengths[i] of each row i (a
+prefix) are computed, and their logits come packed batch-major as
+[sum(lengths), vocab]; np.full(batch, positions) keeps every position.  The
+models are causal: position i only sees tokens at positions <= i.  The
+transformer runs on packed rows: learned positional embeddings, pre-layer-norm
+blocks, masked multi-head attention, a gelu feed-forward, Tape.linear
+projections and an output projection tied to the token embedding.  The LSTM
+recurrence (gates input, forget, cell, output; one fused Tape.lstm_layer op
+per layer) runs on every position, and only its Tape.linear output projection
+on packed rows.
 """
 
 from __future__ import annotations
@@ -157,15 +158,15 @@ def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
 def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
     """[batch, seq] mask of the first lengths[i] positions of each row i."""
     batch, seq = ids.shape
-    lengths = np.full(batch, seq) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     if lengths.shape != (batch,) or ((lengths < 0) | (lengths > seq)).any():
         raise ShapeError(f"lengths {lengths.tolist()} must be {batch} counts in 0..{seq}")
     return np.arange(seq) < lengths[:, None]
 
 
 def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
-                        lengths=None) -> Tensor:
-    """Logits (packed given lengths) under causal masked attention."""
+                        lengths) -> Tensor:
+    """Packed logits under causal masked attention."""
     cfg: TransformerConfig = params.config
     p = params.tensors
     ids = np.asarray(ids, dtype=np.int64)
@@ -192,23 +193,21 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
         x = tape.add(x, linear(ff, "ff.w2", "ff.b2"))
 
     x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
-    logits = tape.matmul(x, tape.transpose(p["tok_emb"]))  # tied projection
-    return tape.reshape(logits, ids.shape + (cfg.vocab,)) if lengths is None else logits
+    return tape.matmul(x, tape.transpose(p["tok_emb"]))  # tied projection
 
 
-def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths=None) -> Tensor:
-    """Logits (packed given lengths) from the stacked LSTM recurrence."""
+def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Tensor:
+    """Packed logits from the stacked LSTM recurrence."""
     cfg: LstmConfig = params.config
     p = params.tensors
     x = tape.embedding_lookup(p["embed"], ids)
     for i in range(cfg.layers):
         x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"])
-    if lengths is not None:
-        x = tape.masked_rows(x, _keep_mask(np.asarray(ids), lengths))
+    x = tape.masked_rows(x, _keep_mask(np.asarray(ids), lengths))
     return tape.linear(x, p["out.w"], p["out.b"])
 
 
-def forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths=None) -> Tensor:
+def forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Tensor:
     if params.arch == "transformer":
         return transformer_forward(params, ids, tape, lengths)
     if params.arch == "lstm":

@@ -6,18 +6,20 @@ requires them.  Tensors are written once by their producing op and treated as
 immutable afterwards; independent Tapes are independent, so separate threads
 may each run their own.
 
-Most ops are elementwise, structural or row-wise primitives.  Three are fused
-ops with hand-written backwards: linear (x @ w + b over the last axis of x),
-causal_attention (multi-head masked self-attention) and lstm_layer (one LSTM
-layer over a whole sequence, with backpropagation through time); each emits
-one tape record.  Padding-free batches are packed: one row per kept position,
+The Tape has the eleven ops that the two language models run, each emitting
+one tape record: add, gelu, matmul (2-d), transpose, linear (x @ w + b over
+the last axis of x), embedding_lookup, masked_rows, causal_attention
+(multi-head masked self-attention), lstm_layer (one LSTM layer over a whole
+sequence), layer_norm and cross_entropy.  linear, causal_attention and
+lstm_layer are fused, with hand-written backwards (through time, for
+lstm_layer).  Padding-free batches are packed: one row per kept position,
 batch-major, the kept positions of each sequence a prefix of it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -107,35 +109,6 @@ class Tape:
             raise ShapeError(f"add: shapes {a.shape} vs {b.shape}")
         return self._emit(a.data + b.data, (a, b), lambda g: (g, g))
 
-    def add_bias(self, a: Tensor, b: Tensor) -> Tensor:
-        """a + b with b broadcast over a's leading axes (b matches a's trailing dims)."""
-        k = b.data.ndim
-        if k > a.data.ndim or a.shape[a.data.ndim - k:] != b.shape:
-            raise ShapeError(f"add_bias: shapes {a.shape} vs {b.shape}")
-        lead = tuple(range(a.data.ndim - k))
-
-        def bwd(g):
-            return g, g.sum(axis=lead) if lead else g
-
-        return self._emit(a.data + b.data, (a, b), bwd)
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise ShapeError(f"mul: shapes {a.shape} vs {b.shape}")
-        return self._emit(a.data * b.data, (a, b),
-                          lambda g: (g * b.data, g * a.data))
-
-    def scale(self, a: Tensor, c: float) -> Tensor:
-        return self._emit(a.data * c, (a,), lambda g: (g * c,))
-
-    def tanh(self, a: Tensor) -> Tensor:
-        y = np.tanh(a.data)
-        return self._emit(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-    def sigmoid(self, a: Tensor) -> Tensor:
-        y = _sigmoid(a.data)
-        return self._emit(y, (a,), lambda g: (g * y * (1.0 - y),))
-
     def gelu(self, a: Tensor) -> Tensor:
         """Gaussian error linear unit, tanh approximation."""
         x = a.data
@@ -174,22 +147,10 @@ class Tape:
     # ------------------------------------------------------- structural ops
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        ok = (
-            a.data.ndim == b.data.ndim
-            and a.data.ndim in (2, 3)
-            and a.shape[-1] == b.shape[-2]
-            and (a.data.ndim == 2 or a.shape[0] == b.shape[0])
-        )
-        if not ok:
+        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul: shapes {a.shape} vs {b.shape}")
-
-        def bwd(g):
-            return (
-                np.matmul(g, b.data.swapaxes(-1, -2)),
-                np.matmul(a.data.swapaxes(-1, -2), g),
-            )
-
-        return self._emit(np.matmul(a.data, b.data), (a, b), bwd)
+        return self._emit(a.data @ b.data, (a, b),
+                          lambda g: (g @ b.data.T, a.data.T @ g))
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """x @ w + b over the last axis of x: [..., in] to [..., out]."""
@@ -213,38 +174,6 @@ class Tape:
         return self._emit(a.data.swapaxes(-1, -2), (a,),
                           lambda g: (g.swapaxes(-1, -2),))
 
-    def reshape(self, a: Tensor, shape: Sequence[int]) -> Tensor:
-        shape = tuple(shape)
-        if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-            raise ShapeError(f"reshape: {a.shape} to {shape}")
-        return self._emit(a.data.reshape(shape), (a,),
-                          lambda g: (g.reshape(a.shape),))
-
-    def concat(self, parts: Sequence[Tensor], axis: int) -> Tensor:
-        if not parts:
-            raise ShapeError("concat: no inputs")
-        first = parts[0].shape
-        for p in parts[1:]:
-            if (p.data.ndim != len(first)
-                    or any(p.shape[i] != first[i]
-                           for i in range(len(first)) if i != axis % len(first))):
-                raise ShapeError(f"concat: shapes {first} vs {p.shape} on axis {axis}")
-        sizes = [p.shape[axis] for p in parts]
-        offsets = np.cumsum(sizes)[:-1]
-
-        def bwd(g):
-            return tuple(np.split(g, offsets, axis=axis))
-
-        return self._emit(np.concatenate([p.data for p in parts], axis=axis),
-                          tuple(parts), bwd)
-
-    def slice_axis(self, a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-        dim = a.shape[axis]
-        if not (0 <= start < stop <= dim):
-            raise ShapeError(f"slice_axis: range [{start}:{stop}] on axis {axis} of {a.shape}")
-        return self._gather(a, tuple(slice(None) if i != axis % a.data.ndim
-                                     else slice(start, stop) for i in range(a.data.ndim)))
-
     def embedding_lookup(self, table: Tensor, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
         if table.data.ndim != 2:
@@ -266,30 +195,15 @@ class Tape:
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim >= a.data.ndim or a.shape[:mask.ndim] != mask.shape:
             raise ShapeError(f"masked_rows: mask {mask.shape} vs {a.shape}")
-        return self._gather(a, mask)
-
-    def _gather(self, a: Tensor, index) -> Tensor:
-        """a.data[index], its gradient scattered back into zeros."""
 
         def bwd(g):
             full = np.zeros_like(a.data)
-            full[index] = g
+            full[mask] = g
             return (full,)
 
-        return self._emit(a.data[index], (a,), bwd)
+        return self._emit(a.data[mask], (a,), bwd)
 
     # ----------------------------------------------------------- row-wise ops
-
-    def softmax(self, a: Tensor) -> Tensor:
-        """Softmax over the last axis with max-subtraction."""
-        m = a.data.max(axis=-1, keepdims=True)
-        e = np.exp(a.data - m)
-        y = e / e.sum(axis=-1, keepdims=True)
-
-        def bwd(g):
-            return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-        return self._emit(y, (a,), bwd)
 
     def causal_attention(self, q: Tensor, k: Tensor, v: Tensor, heads: int,
                          keep: np.ndarray) -> Tensor:
@@ -431,45 +345,30 @@ class Tape:
 
     # ------------------------------------------------------------- reductions
 
-    def sum_all(self, a: Tensor) -> Tensor:
-        return self._emit(np.asarray(a.data.sum()), (a,),
-                          lambda g: (g * np.ones_like(a.data),))
-
-    def cross_entropy(self, logits: Tensor, targets: np.ndarray,
-                      ignore_id: int | None = None) -> Tensor:
-        """Mean negative log-likelihood of targets under row-softmax of logits.
-
-        logits: [..., vocab]; targets: matching leading shape, integer ids.
-        Targets equal to ignore_id contribute nothing; the mean is over the
-        remaining target count.  Log-sum-exp uses max-subtraction.
-        """
+    def cross_entropy(self, logits: Tensor, targets: np.ndarray) -> Tensor:
+        """Mean negative log-likelihood of targets [n] (integer ids) under the
+        row softmax of logits [n, vocab]; log-sum-exp uses max-subtraction."""
         targets = np.asarray(targets, dtype=np.int64)
-        if logits.shape[:-1] != targets.shape:
+        if logits.data.ndim != 2 or targets.shape != logits.shape[:1]:
             raise ShapeError(
                 f"cross_entropy: logits {logits.shape} vs targets {targets.shape}"
             )
-        vocab = logits.shape[-1]
-        flat = logits.data.reshape(-1, vocab)
-        tgt = targets.ravel()
-        mask = np.ones_like(tgt, dtype=bool) if ignore_id is None else tgt != ignore_id
-        n = int(mask.sum())
+        n, vocab = logits.shape
         if n == 0:
-            raise ValueError("cross_entropy: all targets ignored")
-        safe_tgt = np.where(mask, tgt, 0)
-        if safe_tgt.min() < 0 or safe_tgt.max() >= vocab:
+            raise ValueError("cross_entropy: no targets")
+        if targets.min() < 0 or targets.max() >= vocab:
             raise ValueError("cross_entropy: target id out of range")
-        m = flat.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(flat - m).sum(axis=-1, keepdims=True))
-        logp = flat[np.arange(flat.shape[0]), safe_tgt] - lse[:, 0]
-        loss = -(logp * mask).sum() / n
+        x, rows = logits.data, np.arange(n)
+        m = x.max(axis=-1, keepdims=True)
+        lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+        loss = -(x[rows, targets] - lse[:, 0]).sum() / n
 
         def bwd(g):
-            p = flat - lse
+            p = x - lse
             np.exp(p, out=p)
-            p[np.arange(flat.shape[0]), safe_tgt] -= 1.0
-            p[~mask] = 0.0
+            p[rows, targets] -= 1.0
             p *= float(g) / n
-            return (p.reshape(logits.shape),)
+            return (p,)
 
         return self._emit(np.asarray(loss), (logits,), bwd)
 

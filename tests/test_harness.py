@@ -22,7 +22,7 @@ from langlab.harness import (
     render_text_report,
     run_experiment,
 )
-from langlab.models import LstmConfig, init_model, save_checkpoint
+from langlab.models import LstmConfig, TransformerConfig, init_model, save_checkpoint
 from langlab.tokenizer import build_vocabulary, save_vocabulary
 from langlab.training import MetricSeries, TrainingConfig
 from langlab.transforms import NOT_TOKEN
@@ -399,6 +399,9 @@ def bad_inputs(tmp_path_factory):
     blob = ckpt.read_bytes()
     (d / "truncated.ckpt").write_bytes(blob[:-5])
     (d / "doubled.ckpt").write_bytes(blob + blob)
+    save_checkpoint(init_model(TransformerConfig(layers=1, model_dim=4, heads=1, ff_dim=4,
+                                                 max_seq=16, vocab=8)), d / "t16.ckpt")
+    (d / "long.txt").write_text("a b\n\n" + " ".join(["a b c d d"] * 5) + "\n")
     (d / "not.txt").write_text("the girl runs\n\n\nthe boy NOT runs\n")
     (d / "space.txt").write_text("the girl runs\nthe boy  runs\n")
     (d / "tab.txt").write_text("the girl runs\nthe boy\truns\n")
@@ -492,6 +495,12 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                  cli.EXIT_INPUT,
                  r"^input error: \S*tab\.txt: line 2: whitespace U\+0009 inside a word$",
                  id="eval-tab"),
+    pytest.param(["eval", "--checkpoint", "{d}/t16.ckpt", "--vocab", "{d}/eight.vocab",
+                  "--corpus", "{d}/long.txt"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*long\.txt: line 3: input width 26 exceeds max_seq 16 "
+                 r"of checkpoint \S*t16\.ckpt$",
+                 id="eval-too-long"),
 ])
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code

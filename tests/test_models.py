@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import struct
@@ -20,11 +21,22 @@ from langlab.models import (
 from langlab.numcore import ShapeError, Tape
 from langlab.tokenizer import PAD_ID
 
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).parent.parent / "tools" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
 TINY_T = TransformerConfig(layers=1, model_dim=16, heads=2, ff_dim=32,
                            max_seq=8, vocab=16, seed=3)
 TINY_L = LstmConfig(layers=1, hidden_dim=16, embed_dim=16, vocab=16, seed=3)
 
 IDS = np.array([[1, 4, 5, 6, 2, 7, 8, 3], [1, 7, 8, 2, 9, 10, 11, 12]])
+
+
+def logits_of(params, ids):
+    """Logits of every position, [batch, seq, vocab]."""
+    out = forward(params, ids, Tape(record=False), np.full(len(ids), ids.shape[1]))
+    return out.data.reshape(ids.shape + (-1,))
 
 
 # ----------------------------------------------------------- initialization
@@ -97,30 +109,30 @@ def test_overlength_sequence_rejected():
     params = init_model(TINY_T)
     too_long = np.zeros((1, TINY_T.max_seq + 1), dtype=int)
     with pytest.raises(ValueError, match="max_seq"):
-        transformer_forward(params, too_long, Tape())
+        transformer_forward(params, too_long, Tape(), [TINY_T.max_seq + 1])
 
 
 def test_logits_shape_both_archs():
     for cfg in (TINY_T, TINY_L):
         params = init_model(cfg)
-        out = forward(params, IDS, Tape(record=False))
-        assert out.shape == (2, 8, 16)
+        out = forward(params, IDS, Tape(record=False), np.full(2, 8))
+        assert out.shape == (16, 16)
 
 
 def test_lstm_single_token_input():
     params = init_model(TINY_L)
-    out = lstm_forward(params, np.array([[5]]), Tape(record=False))
-    assert out.shape == (1, 1, 16)
+    out = lstm_forward(params, np.array([[5]]), Tape(record=False), [1])
+    assert out.shape == (1, 16)
 
 
 @pytest.mark.parametrize("arch_cfg", [TINY_T, TINY_L], ids=["transformer", "lstm"])
 def test_causality_bitwise(arch_cfg):
     params = init_model(arch_cfg)
-    base = forward(params, IDS, Tape(record=False)).data
+    base = logits_of(params, IDS)
     for j in (3, 5):
         perturbed = IDS.copy()
         perturbed[0, j] = (perturbed[0, j] + 1) % arch_cfg.vocab
-        out = forward(params, perturbed, Tape(record=False)).data
+        out = logits_of(params, perturbed)
         assert out[0, :j].tobytes() == base[0, :j].tobytes()
         assert not np.array_equal(out[0, j:], base[0, j:])
         assert out[1].tobytes() == base[1].tobytes()  # other row untouched
@@ -130,7 +142,7 @@ def test_causality_bitwise(arch_cfg):
 def test_identical_rows_identical_logits(arch_cfg):
     params = init_model(arch_cfg)
     twin = np.stack([IDS[0], IDS[0]])
-    out = forward(params, twin, Tape(record=False)).data
+    out = logits_of(params, twin)
     assert out[0].tobytes() == out[1].tobytes()
 
 
@@ -138,8 +150,8 @@ def test_identical_rows_identical_logits(arch_cfg):
 def test_fresh_init_loss_near_uniform(arch_cfg):
     params = init_model(arch_cfg)
     tape = Tape(record=False)
-    logits = forward(params, IDS[:, :-1], tape)
-    loss = float(tape.cross_entropy(logits, IDS[:, 1:]).data)
+    logits = forward(params, IDS[:, :-1], tape, np.full(2, 7))
+    loss = float(tape.cross_entropy(logits, IDS[:, 1:].ravel()).data)
     assert abs(loss - math.log(arch_cfg.vocab)) < 0.05 * math.log(arch_cfg.vocab)
 
 
@@ -152,7 +164,7 @@ def test_packed_logits_bit_identical_to_full_forward(arch_cfg):
     count moves the entry into a remainder block (OpenBLAS, vocab 265) or
     when a single row goes to gemv."""
     params = init_model(arch_cfg)
-    full = forward(params, IDS, Tape(record=False)).data
+    full = logits_of(params, IDS)
     for lengths in ([8, 5], [3, 6], [0, 8], [8, 8]):
         keep = np.arange(8) < np.array(lengths)[:, None]
         out = forward(params, IDS, Tape(record=False), np.array(lengths)).data
@@ -163,7 +175,8 @@ def test_packed_logits_bit_identical_to_full_forward(arch_cfg):
 @pytest.mark.parametrize("arch_cfg", [TINY_T, TINY_L], ids=["transformer", "lstm"])
 def test_packed_gradients_match_ignore_id_path(arch_cfg):
     """The training loss over packed rows has the gradients of the full
-    forward's loss with PAD targets ignored, within the golden bound."""
+    forward's loss with PAD targets ignored (its non-PAD rows), within the
+    golden bound."""
     params = init_model(arch_cfg)
     ids = IDS.copy()
     ids[0, 6:] = ids[1, 3:] = PAD_ID  # right padding, as the batcher builds it
@@ -174,10 +187,10 @@ def test_packed_gradients_match_ignore_id_path(arch_cfg):
         tape = Tape()
         if packed:
             logits = forward(params, ids[:, :-1], tape, keep.sum(1))
-            loss = tape.cross_entropy(logits, targets[keep])
         else:
-            loss = tape.cross_entropy(forward(params, ids[:, :-1], tape), targets,
-                                      ignore_id=PAD_ID)
+            full = forward(params, ids[:, :-1], tape, np.full(2, 7))
+            logits = tape.masked_rows(full, keep.ravel())
+        loss = tape.cross_entropy(logits, targets[keep])
         tape.backward(loss)
         losses.append(float(loss.data))
         grads.append({n: t.grad.copy() for n, t in params.tensors.items()})
@@ -224,16 +237,16 @@ def test_lstm_gates_match_scalar_oracle():
         h = go * math.tanh(c)
         expected_rows.append([h * 1.0, h * -1.0, h * 0.5])
 
-    out = lstm_forward(params, np.array([[1, 2, 1]]), Tape(record=False))
-    assert np.all(np.abs(out.data[0] - np.array(expected_rows)) < 1e-12)
+    out = lstm_forward(params, np.array([[1, 2, 1]]), Tape(record=False), [3])
+    assert np.all(np.abs(out.data - np.array(expected_rows)) < 1e-12)
 
 
-def _check_golden(file_name, config_cls, model_forward):
+def _check_golden(file_name, config_cls):
     """Logits and every parameter gradient of the training loss against the
     frozen values, within 1e-12 * max(|ref|, 1)."""
     payload = json.loads((Path(__file__).parent / "data" / file_name).read_text())
     params = init_model(config_cls(**payload["config"]))
-    ids = np.array(payload["ids"])
+    logits, grads = make_golden.golden_values(params, np.array(payload["ids"]))
 
     def close(got, ref):
         # scale-aware: entries near 1e-7 differ by round-off only, which is
@@ -242,21 +255,25 @@ def _check_golden(file_name, config_cls, model_forward):
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
-    close(model_forward(params, ids, Tape(record=False)).data, payload["logits"])
-    tape = Tape()
-    tape.backward(tape.cross_entropy(model_forward(params, ids[:, :-1], tape),
-                                     ids[:, 1:], ignore_id=PAD_ID))
+    close(logits, payload["logits"])
     assert set(payload["grads"]) == set(params.tensors)
     for name, ref in payload["grads"].items():
-        close(params.tensors[name].grad, ref)
+        close(grads[name], ref)
 
 
 def test_transformer_golden_logits():
-    _check_golden("transformer_golden.json", TransformerConfig, transformer_forward)
+    _check_golden("transformer_golden.json", TransformerConfig)
 
 
 def test_lstm_golden_logits_and_grads():
-    _check_golden("lstm_golden.json", LstmConfig, lstm_forward)
+    _check_golden("lstm_golden.json", LstmConfig)
+
+
+def test_make_golden_reproduces_transformer_golden(tmp_path, monkeypatch):
+    monkeypatch.setattr(make_golden, "DATA", tmp_path)
+    make_golden.main(["transformer"])
+    frozen = Path(__file__).parent / "data" / "transformer_golden.json"
+    assert (tmp_path / frozen.name).read_bytes() == frozen.read_bytes()
 
 
 # --------------------------------------------------------------- checkpoint

@@ -11,8 +11,11 @@ from langlab.numcore import (
     ShapeError,
     Tape,
     Tensor,
+    _sigmoid,
     finite_difference_check,
 )
+from refops import (add_bias, concat, dot, matmul, mul, reshape, scale, sigmoid, softmax,
+                    take, tanh)
 
 RNG = np.random.default_rng(7)
 
@@ -25,12 +28,12 @@ def rand(*shape):
 
 
 def test_softmax_uniform_row():
-    y = Tape().softmax(Tensor([[0.0, 0.0, 0.0]]))
+    y = softmax(Tape(), Tensor([[0.0, 0.0, 0.0]]))
     assert np.allclose(y.data, 1 / 3, atol=1e-15)
 
 
 def test_softmax_rows_sum_to_one():
-    y = Tape().softmax(rand(5, 9))
+    y = softmax(Tape(), rand(5, 9))
     sums = y.data.sum(axis=-1)
     assert np.all(np.abs(sums - 1.0) <= 1e-12)
     assert np.all(y.data > 0) and np.all(y.data < 1)
@@ -57,55 +60,54 @@ def test_layer_norm_against_scalar_oracle():
 
 def test_cross_entropy_uniform_logits():
     tape = Tape()
-    loss = tape.cross_entropy(Tensor(np.zeros((2, 3, 10))),
-                              np.zeros((2, 3), dtype=int))
+    loss = tape.cross_entropy(Tensor(np.zeros((6, 10))), np.zeros(6, dtype=int))
     assert abs(float(loss.data) - math.log(10)) < 1e-12
 
 
 def test_cross_entropy_near_one_hot():
-    logits = np.zeros((1, 1, 5))
-    logits[0, 0, 2] = 100.0
-    loss = Tape().cross_entropy(Tensor(logits), np.array([[2]]))
+    logits = np.zeros((1, 5))
+    logits[0, 2] = 100.0
+    loss = Tape().cross_entropy(Tensor(logits), np.array([2]))
     assert float(loss.data) < 1e-12
 
 
 def test_cross_entropy_against_brute_force_oracle():
-    logits = RNG.normal(size=(2, 3, 7))
-    targets = RNG.integers(0, 7, size=(2, 3))
+    logits = RNG.normal(size=(6, 7))
+    targets = RNG.integers(0, 7, size=6)
     # direct softmax-then-log oracle
     total = 0.0
-    for b in range(2):
-        for t in range(3):
-            row = logits[b, t]
-            p = np.exp(row) / np.exp(row).sum()
-            total += -math.log(p[targets[b, t]])
+    for row, target in zip(logits, targets):
+        p = np.exp(row) / np.exp(row).sum()
+        total += -math.log(p[target])
     expected = total / 6
     loss = Tape().cross_entropy(Tensor(logits), targets)
     assert abs(float(loss.data) - expected) < 1e-12
 
 
 def test_cross_entropy_ignore_id():
-    logits = RNG.normal(size=(1, 4, 6))
-    targets = np.array([[2, 0, 0, 3]])
-    loss = Tape().cross_entropy(Tensor(logits), targets, ignore_id=0)
-    rows = [0, 3]
+    """Targets are ignored by taking the masked rows of the logits first."""
+    logits = RNG.normal(size=(4, 6))
+    targets = np.array([2, 0, 0, 3])
+    tape = Tape()
+    keep = targets != 0
+    loss = tape.cross_entropy(tape.masked_rows(Tensor(logits), keep), targets[keep])
     total = 0.0
-    for t in rows:
-        row = logits[0, t]
-        p = np.exp(row) / np.exp(row).sum()
-        total += -math.log(p[targets[0, t]])
+    for t in (0, 3):
+        p = np.exp(logits[t]) / np.exp(logits[t]).sum()
+        total += -math.log(p[targets[t]])
     assert abs(float(loss.data) - total / 2) < 1e-12
 
 
 def test_cross_entropy_all_ignored():
-    with pytest.raises(ValueError, match="all targets ignored"):
-        Tape().cross_entropy(Tensor(np.zeros((1, 2, 4))),
-                             np.zeros((1, 2), dtype=int), ignore_id=0)
+    tape = Tape()
+    rows = tape.masked_rows(Tensor(np.zeros((2, 4))), np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match="no targets"):
+        tape.cross_entropy(rows, np.zeros(0, dtype=int))
 
 
 def test_cross_entropy_nonnegative():
     for _ in range(10):
-        loss = Tape().cross_entropy(rand(2, 3, 9), RNG.integers(0, 9, (2, 3)))
+        loss = Tape().cross_entropy(rand(6, 9), RNG.integers(0, 9, 6))
         assert float(loss.data) >= 0.0
 
 
@@ -115,22 +117,21 @@ def test_cross_entropy_nonnegative():
 def test_backward_sum_gives_ones():
     tape = Tape()
     x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    tape.backward(tape.sum_all(x))
+    tape.backward(dot(tape, x, Tensor(np.ones((3, 4)))))
     assert np.array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_dot_square():
     tape = Tape()
     x = Tensor(RNG.normal(size=(5,)), requires_grad=True)
-    loss = tape.sum_all(tape.mul(x, x))
-    tape.backward(loss)
+    tape.backward(dot(tape, x, x))
     assert np.allclose(x.grad, 2 * x.data, atol=1e-15)
 
 
 def test_backward_requires_scalar():
     tape = Tape()
     x = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
-    y = tape.scale(x, 2.0)
+    y = tape.add(x, x)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(y)
 
@@ -138,8 +139,7 @@ def test_backward_requires_scalar():
 def test_gradient_accumulates_over_reuse():
     tape = Tape()
     x = Tensor(np.array(3.0), requires_grad=True)
-    y = tape.add(x, x)
-    tape.backward(tape.sum_all(y))
+    tape.backward(tape.add(x, x))
     assert x.grad == pytest.approx(2.0)
 
 
@@ -153,74 +153,70 @@ def fd(f, x, h=1e-5):
 
 def test_fd_requires_positive_step():
     with pytest.raises(ValueError, match="step must be positive"):
-        finite_difference_check(lambda t, x: t.sum_all(x), rand(2), h=0.0)
+        finite_difference_check(lambda t, x: dot(t, x, x), rand(2), h=0.0)
 
 
 def test_fd_sum_of_squares_tight():
     err = finite_difference_check(
-        lambda t, x: t.sum_all(t.mul(x, x)), rand(3, 3)
+        lambda t, x: dot(t, x, x), rand(3, 3)
     )
     assert err < 1e-9
 
 
 def test_fd_add():
     other = rand(3, 4)
-    fd(lambda t, x: t.sum_all(t.mul(t.add(x, other), t.add(x, other))), rand(3, 4))
+    fd(lambda t, x: dot(t, t.add(x, other), t.add(x, other)), rand(3, 4))
 
 
 def test_fd_add_bias():
-    a = rand(2, 3, 4)
-    fd(lambda t, b: t.sum_all(t.mul(t.add_bias(a, b), t.add_bias(a, b))), rand(4))
+    a = rand(6, 4)
+    fd(lambda t, b: dot(t, add_bias(t, a, b), add_bias(t, a, b)), rand(4))
     bias = rand(4)
-    fd(lambda t, x: t.sum_all(t.mul(t.add_bias(x, bias), t.add_bias(x, bias))),
-       rand(2, 3, 4))
+    fd(lambda t, x: dot(t, add_bias(t, x, bias), add_bias(t, x, bias)), rand(6, 4))
 
 
 def test_fd_mul():
     other = rand(4, 2)
-    fd(lambda t, x: t.sum_all(t.mul(t.mul(x, other), x)), rand(4, 2))
+    fd(lambda t, x: dot(t, mul(t, x, other), x), rand(4, 2))
 
 
 def test_fd_scale():
-    fd(lambda t, x: t.sum_all(t.mul(t.scale(x, -1.7), t.scale(x, 0.3))), rand(5))
+    fd(lambda t, x: dot(t, scale(t, x, -1.7), scale(t, x, 0.3)), rand(5))
 
 
 def test_fd_matmul_2d():
     b = rand(4, 3)
-    fd(lambda t, x: t.sum_all(t.mul(t.matmul(x, b), t.matmul(x, b))), rand(2, 4))
+    fd(lambda t, x: dot(t, t.matmul(x, b), t.matmul(x, b)), rand(2, 4))
     a = rand(2, 4)
-    fd(lambda t, x: t.sum_all(t.mul(t.matmul(a, x), t.matmul(a, x))), rand(4, 3))
+    fd(lambda t, x: dot(t, t.matmul(a, x), t.matmul(a, x)), rand(4, 3))
 
 
 def test_fd_matmul_batched():
     b = rand(2, 4, 3)
-    fd(lambda t, x: t.sum_all(t.mul(t.matmul(x, b), t.matmul(x, b))), rand(2, 5, 4))
+    fd(lambda t, x: dot(t, matmul(t, x, b), matmul(t, x, b)), rand(2, 5, 4))
 
 
 def test_fd_transpose():
-    fd(lambda t, x: t.sum_all(t.mul(t.transpose(x), t.transpose(x))), rand(3, 5))
+    fd(lambda t, x: dot(t, t.transpose(x), t.transpose(x)), rand(3, 5))
 
 
 def test_fd_reshape():
-    fd(lambda t, x: t.sum_all(t.mul(t.reshape(x, (6,)), t.reshape(x, (6,)))),
-       rand(2, 3))
+    fd(lambda t, x: dot(t, reshape(t, x, (6,)), reshape(t, x, (6,))), rand(2, 3))
 
 
 def test_fd_concat():
     other = rand(2, 3)
-    fd(lambda t, x: t.sum_all(t.mul(t.concat([x, other], 1),
-                                    t.concat([other, x], 1))), rand(2, 3))
+    fd(lambda t, x: dot(t, concat(t, [x, other], 1), concat(t, [other, x], 1)), rand(2, 3))
 
 
 def test_fd_slice():
-    fd(lambda t, x: t.sum_all(t.mul(t.slice_axis(x, 1, 1, 3),
-                                    t.slice_axis(x, 1, 2, 4))), rand(3, 5))
+    fd(lambda t, x: dot(t, take(t, x, np.s_[:, 1:3]), take(t, x, np.s_[:, 2:4])), rand(3, 5))
 
 
 def test_fd_embedding_lookup():
     ids = np.array([[0, 2], [1, 0]])
-    fd(lambda t, x: t.sum_all(t.mul(t.embedding_lookup(x, ids),
-                                    t.embedding_lookup(x, ids))), rand(3, 4))
+    fd(lambda t, x: dot(t, t.embedding_lookup(x, ids), t.embedding_lookup(x, ids)),
+       rand(3, 4))
 
 
 def test_fd_masked_rows():
@@ -228,7 +224,7 @@ def test_fd_masked_rows():
     mask = np.array([[True, True, False], [True, False, False]])
     x, w = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(3, 4)))
     assert Tape().masked_rows(x, mask).data.tobytes() == x.data[mask].tobytes()
-    fd(lambda t, v: t.sum_all(t.mul(t.masked_rows(v, mask), w)), x)
+    fd(lambda t, v: dot(t, t.masked_rows(v, mask), w), x)
 
 
 def test_masked_rows_shape_errors():
@@ -240,22 +236,21 @@ def test_masked_rows_shape_errors():
 
 def test_fd_softmax():
     w = rand(4, 6)
-    fd(lambda t, x: t.sum_all(t.mul(t.softmax(x), w)), rand(4, 6))
+    fd(lambda t, x: dot(t, softmax(t, x), w), rand(4, 6))
 
 
 def test_fd_layer_norm():
     gain, bias = rand(5), rand(5)
     w = rand(3, 5)
-    fd(lambda t, x: t.sum_all(t.mul(t.layer_norm(x, gain, bias), w)), rand(3, 5))
+    fd(lambda t, x: dot(t, t.layer_norm(x, gain, bias), w), rand(3, 5))
     x0 = rand(3, 5)
-    fd(lambda t, g: t.sum_all(t.mul(t.layer_norm(x0, g, bias), w)), rand(5))
-    fd(lambda t, b: t.sum_all(t.mul(t.layer_norm(x0, gain, b), w)), rand(5))
+    fd(lambda t, g: dot(t, t.layer_norm(x0, g, bias), w), rand(5))
+    fd(lambda t, b: dot(t, t.layer_norm(x0, gain, b), w), rand(5))
 
 
 def test_fd_tanh_sigmoid_gelu():
-    for op in ("tanh", "sigmoid", "gelu"):
-        fd(lambda t, x, op=op: t.sum_all(t.mul(getattr(t, op)(x),
-                                               getattr(t, op)(x))), rand(3, 4))
+    for op in (tanh, sigmoid, Tape.gelu):
+        fd(lambda t, x, op=op: dot(t, op(t, x), op(t, x)), rand(3, 4))
 
 
 @st.composite
@@ -291,9 +286,9 @@ def ragged_attention_case(draw):
 def full_attention(t, q, k, v, heads):
     """causal_attention of [batch, seq, dim] inputs with every position kept."""
     rows = (q.shape[0] * q.shape[1], q.shape[2])
-    out = t.causal_attention(*(t.reshape(x, rows) for x in (q, k, v)), heads,
+    out = t.causal_attention(*(reshape(t, x, rows) for x in (q, k, v)), heads,
                              np.ones(q.shape[:2], dtype=bool))
-    return t.reshape(out, q.shape)
+    return reshape(t, out, q.shape)
 
 
 def fd_scaled(f, x, h=1e-5):
@@ -326,7 +321,7 @@ def test_fd_causal_attention(which, case):
     def f(t, x):
         args = list(qkv)
         args[which] = x
-        return t.sum_all(t.mul(full_attention(t, *args, heads), w))
+        return dot(t, full_attention(t, *args, heads), w)
 
     err = fd_scaled(f, qkv[which])
     assert err < 1e-7, f"finite-difference error {err:.3e}"
@@ -341,24 +336,24 @@ def test_fd_causal_attention_ragged(which, case):
     def f(t, x):
         args = list(qkv)
         args[which] = x
-        return t.sum_all(t.mul(t.causal_attention(*args, heads, keep), w))
+        return dot(t, t.causal_attention(*args, heads, keep), w)
 
     err = fd_scaled(f, qkv[which])
     assert err < 1e-7, f"finite-difference error {err:.3e}"
 
 
 def _per_head_attention(t, q, k, v, heads):
-    """Reference: one head at a time from the primitive Tape ops."""
+    """Reference: one head at a time from the primitive rules of refops."""
     batch, seq, dim = q.shape
     dh = dim // heads
     causal = np.where(np.tril(np.ones((seq, seq), dtype=bool)), 0.0, MASK_FILL)
     mask = Tensor(np.broadcast_to(causal, (batch, seq, seq)).copy())
     outs = []
     for hd in range(heads):
-        qh, kh, vh = (t.slice_axis(x, 2, hd * dh, (hd + 1) * dh) for x in (q, k, v))
-        scores = t.scale(t.matmul(qh, t.transpose(kh)), 1.0 / np.sqrt(dh))
-        outs.append(t.matmul(t.softmax(t.add(scores, mask)), vh))
-    return t.concat(outs, axis=2)
+        qh, kh, vh = (take(t, x, np.s_[..., hd * dh:(hd + 1) * dh]) for x in (q, k, v))
+        scores = scale(t, matmul(t, qh, t.transpose(kh)), 1.0 / np.sqrt(dh))
+        outs.append(matmul(t, softmax(t, t.add(scores, mask)), vh))
+    return concat(t, outs, axis=2)
 
 
 def test_causal_attention_matches_per_head_loop():
@@ -370,7 +365,7 @@ def test_causal_attention_matches_per_head_loop():
         tape = Tape()
         qkv = [Tensor(x.copy(), requires_grad=True) for x in data]
         out = op(tape, *qkv, 4)
-        tape.backward(tape.sum_all(tape.mul(out, w)))
+        tape.backward(dot(tape, out, w))
         results.append([out.data] + [x.grad for x in qkv])
     for fused, loop in zip(*results):
         assert np.max(np.abs(fused - loop)) < 1e-14
@@ -421,28 +416,27 @@ def test_fd_lstm_layer(which, case):
     def f(t, v):
         probe = list(args)
         probe[which] = v
-        return t.sum_all(t.mul(t.lstm_layer(*probe), w))
+        return dot(t, t.lstm_layer(*probe), w)
 
     err = fd_scaled(f, args[which])
     assert err < 1e-7, f"finite-difference error {err:.3e}"
 
 
 def _per_step_lstm(t, x, wx, wh, b):
-    """Reference: one timestep at a time from the primitive Tape ops."""
+    """Reference: one timestep at a time from the primitive rules of refops."""
     batch, seq, n_in = x.shape
     n = wh.shape[0]
     h = c = Tensor(np.zeros((batch, n)))
     outs = []
     for step in range(seq):
-        xs = t.reshape(t.slice_axis(x, 1, step, step + 1), (batch, n_in))
-        z = t.add_bias(t.add(t.matmul(xs, wx), t.matmul(h, wh)), b)
-        gi, gf, go = (t.sigmoid(t.slice_axis(z, 1, k * n, (k + 1) * n))
-                      for k in (0, 1, 3))
-        gg = t.tanh(t.slice_axis(z, 1, 2 * n, 3 * n))
-        c = t.add(t.mul(gf, c), t.mul(gi, gg))
-        h = t.mul(go, t.tanh(c))
-        outs.append(t.reshape(h, (batch, 1, n)))
-    return t.concat(outs, axis=1)
+        xs = take(t, x, np.s_[:, step])
+        z = add_bias(t, t.add(t.matmul(xs, wx), t.matmul(h, wh)), b)
+        gi, gf, go = (sigmoid(t, take(t, z, np.s_[:, k * n:(k + 1) * n])) for k in (0, 1, 3))
+        gg = tanh(t, take(t, z, np.s_[:, 2 * n:3 * n]))
+        c = t.add(mul(t, gf, c), mul(t, gi, gg))
+        h = mul(t, go, tanh(t, c))
+        outs.append(reshape(t, h, (batch, 1, n)))
+    return concat(t, outs, axis=1)
 
 
 def test_lstm_layer_matches_per_step_loop():
@@ -455,7 +449,7 @@ def test_lstm_layer_matches_per_step_loop():
         tape = Tape()
         args = [Tensor(a.copy(), requires_grad=True) for a in data]
         out = op(tape, *args)
-        tape.backward(tape.sum_all(tape.mul(out, w)))
+        tape.backward(dot(tape, out, w))
         results.append([out.data] + [a.grad for a in args])
     for fused, loop in zip(*results):
         assert fused.shape == loop.shape
@@ -505,7 +499,7 @@ def test_fd_linear(rank, which, data):
     def f(t, v):
         probe = list(args)
         probe[which] = v
-        return t.sum_all(t.mul(t.linear(*probe), w))
+        return dot(t, t.linear(*probe), w)
 
     err = fd_scaled(f, args[which])
     assert err < 1e-7, f"finite-difference error {err:.3e}"
@@ -527,7 +521,7 @@ def _grads_of(op, data, weights):
     tape = Tape()
     inputs = [Tensor(a.copy(), requires_grad=True) for a in data]
     out = op(tape, *inputs)
-    tape.backward(tape.sum_all(tape.mul(out, Tensor(weights))))
+    tape.backward(dot(tape, out, Tensor(weights)))
     return [out.data] + [t.grad for t in inputs]
 
 
@@ -571,31 +565,24 @@ def test_linear_bit_identical_to_matmul_add_bias(lead):
     g = RNG.normal(size=lead + (32,))
 
     def unfused(t, x, w, b):
-        x2 = t.reshape(x, (24, 16)) if len(lead) > 1 else x
-        y = t.add_bias(t.matmul(x2, w), b)
-        return t.reshape(y, lead + (32,)) if len(lead) > 1 else y
+        y = add_bias(t, t.matmul(reshape(t, x, (24, 16)), w), b)
+        return reshape(t, y, lead + (32,))
 
     _assert_same_bytes(_grads_of(Tape.linear, [x, w, b], g),
                        _grads_of(unfused, [x, w, b], g))
 
 
 def test_cross_entropy_grad_bit_identical_to_unbuffered_formula():
-    logits = RNG.normal(scale=3.0, size=(4, 6, 11))
-    targets = RNG.integers(1, 11, size=(4, 6))
-    targets[0, :3] = 0  # 21 counted targets: p / 21 and p * (1 / 21) differ
+    logits = RNG.normal(scale=3.0, size=(21, 11))
+    targets = RNG.integers(0, 11, size=21)  # 21 targets: p / 21 and p * (1 / 21) differ
     tape = Tape()
     probe = Tensor(logits.copy(), requires_grad=True)
-    tape.backward(tape.cross_entropy(probe, targets, ignore_id=0))
-    flat = logits.reshape(-1, 11)
-    tgt = targets.ravel()
-    mask = tgt != 0
-    m = flat.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(flat - m).sum(axis=-1, keepdims=True))
-    p = np.exp(flat - lse)
-    p[np.arange(flat.shape[0]), np.where(mask, tgt, 0)] -= 1.0
-    p[~mask] = 0.0
-    ref = (1.0 / int(mask.sum())) * p.reshape(logits.shape)
-    assert probe.grad.tobytes() == ref.tobytes()
+    tape.backward(tape.cross_entropy(probe, targets))
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    p = np.exp(logits - lse)
+    p[np.arange(21), targets] -= 1.0
+    assert probe.grad.tobytes() == ((1.0 / 21) * p).tobytes()
 
 
 def test_gelu_matches_pow_formula():
@@ -613,14 +600,12 @@ def test_sigmoid_bit_identical_to_where_formula():
     x = RNG.normal(scale=8.0, size=100_000)
     ref = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    assert Tape().sigmoid(Tensor(x)).data.tobytes() == ref.tobytes()
+    assert _sigmoid(x).tobytes() == ref.tobytes()
 
 
 def test_fd_softmax_cross_entropy():
-    targets = RNG.integers(0, 7, size=(2, 3))
-    err = finite_difference_check(
-        lambda t, x: t.cross_entropy(x, targets), rand(2, 3, 7)
-    )
+    targets = RNG.integers(0, 7, size=6)
+    err = finite_difference_check(lambda t, x: t.cross_entropy(x, targets), rand(6, 7))
     assert err < 1e-6
 
 
@@ -634,10 +619,6 @@ def test_shape_errors_name_both_shapes():
         Tape().matmul(rand(2, 3), rand(2, 2))
     with pytest.raises(ShapeError):
         Tape().layer_norm(rand(2, 3), rand(4), rand(3))
-    with pytest.raises(ShapeError):
-        Tape().slice_axis(rand(2, 3), 1, 2, 5)
-    with pytest.raises(ShapeError):
-        Tape().reshape(rand(2, 3), (7,))
 
 
 def test_embedding_range_check():
@@ -647,6 +628,6 @@ def test_embedding_range_check():
 
 def test_forward_determinism_bit_identical():
     x = rand(4, 6)
-    a = Tape().softmax(Tensor(x.data.copy())).data
-    b = Tape().softmax(Tensor(x.data.copy())).data
+    a = Tape().gelu(Tensor(x.data.copy())).data
+    b = Tape().gelu(Tensor(x.data.copy())).data
     assert a.tobytes() == b.tobytes()

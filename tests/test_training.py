@@ -6,6 +6,7 @@ import pytest
 from langlab import tokenizer
 from langlab.grammar import Sentence
 from langlab.models import LstmConfig, TransformerConfig, init_model
+from langlab.numcore import Tape
 from langlab.training import (
     AdamOptimizer,
     MetricSeries,
@@ -281,3 +282,21 @@ def test_evaluate_perplexity_identity(tiny_setup):
     vocab, encoded, cfg = tiny_setup
     result = evaluate_perplexity(init_model(cfg), encoded[:30])
     assert result.perplexity == math.exp(result.loss)
+
+
+def test_every_tape_op_runs_in_training_or_eval(tiny_setup, monkeypatch):
+    """Each public Tape op is reached by a training step or an eval batch of
+    one of the two models: the Tape carries no op that only tests use."""
+    vocab, encoded, cfg = tiny_setup
+    called = set()
+    ops = [n for n, f in vars(Tape).items()
+           if callable(f) and not n.startswith("_") and n != "backward"]
+    for name in ops:
+        def traced(self, *args, _name=name, _op=getattr(Tape, name), **kwargs):
+            called.add(_name)
+            return _op(self, *args, **kwargs)
+        monkeypatch.setattr(Tape, name, traced)
+    for model_cfg in (cfg, LstmConfig(hidden_dim=8, embed_dim=8, vocab=len(vocab))):
+        _, params = train(init_model(model_cfg), encoded, TrainingConfig(total_steps=1))
+        evaluate_perplexity(params, encoded[:8])
+    assert sorted(set(ops) - called) == []

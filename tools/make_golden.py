@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from langlab.models import (
-    LstmConfig,
-    TransformerConfig,
-    init_model,
-    lstm_forward,
-    transformer_forward,
-)
+from langlab.models import LstmConfig, TransformerConfig, forward, init_model
 from langlab.numcore import Tape
 from langlab.tokenizer import PAD_ID
 
@@ -45,32 +39,23 @@ def _text(values):
     return f"{values:.17g}"
 
 
-def _write(name, payload):
-    path = DATA / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-
-
-def _golden(name, config, params, forward, ids):
-    """Logits of every position; gradients of the training loss, which
-    predicts ids[:, 1:] from ids[:, :-1]."""
-    logits = forward(params, ids, Tape(record=False))
+def golden_values(params, ids):
+    """Logits of every position, [batch, seq, vocab], and the parameter
+    gradients of the training loss, which predicts the non-PAD ids[:, 1:]
+    from ids[:, :-1]."""
+    batch, seq = ids.shape
+    logits = forward(params, ids, Tape(record=False), np.full(batch, seq))
     tape = Tape()
-    loss = tape.cross_entropy(forward(params, ids[:, :-1], tape),
-                              ids[:, 1:], ignore_id=PAD_ID)
-    tape.backward(loss)
-    _write(name, {
-        "config": config,
-        "ids": IDS,
-        "logits": _text(logits.data.tolist()),
-        "grads": {name: _text(t.grad.tolist())
-                  for name, t in params.tensors.items()},
-    })
+    rows = forward(params, ids[:, :-1], tape, np.full(batch, seq - 1))
+    keep = ids[:, 1:] != PAD_ID
+    tape.backward(tape.cross_entropy(tape.masked_rows(rows, keep.ravel()),
+                                     ids[:, 1:][keep]))
+    return (logits.data.reshape(batch, seq, -1),
+            {name: t.grad for name, t in params.tensors.items()})
 
 
-GOLDENS = {"transformer": (TransformerConfig, CONFIG, transformer_forward),
-           "lstm": (LstmConfig, LSTM_CONFIG, lstm_forward)}
+GOLDENS = {"transformer": (TransformerConfig, CONFIG),
+           "lstm": (LstmConfig, LSTM_CONFIG)}
 
 
 def main(argv=None):
@@ -78,9 +63,15 @@ def main(argv=None):
     parser.add_argument("golden", nargs="+", choices=sorted(GOLDENS),
                         help="golden file(s) to regenerate")
     for name in parser.parse_args(argv).golden:
-        config_cls, config, forward = GOLDENS[name]
-        _golden(f"{name}_golden.json", config, init_model(config_cls(**config)),
-                forward, np.array(IDS))
+        config_cls, config = GOLDENS[name]
+        params = init_model(config_cls(**config))
+        logits, grads = golden_values(params, np.array(IDS))
+        payload = {"config": config, "ids": IDS, "logits": _text(logits.tolist()),
+                   "grads": {n: _text(g.tolist()) for n, g in grads.items()}}
+        path = DATA / f"{name}_golden.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
