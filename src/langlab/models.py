@@ -8,9 +8,9 @@ models are causal: position i only sees tokens at positions <= i.  The
 transformer runs on packed rows: learned positional embeddings, pre-layer-norm
 blocks, masked multi-head attention, a gelu feed-forward, Tape.linear
 projections and an output projection tied to the token embedding.  The LSTM
-recurrence (gates input, forget, cell, output; one fused Tape.lstm_layer op
-per layer) runs on every position, and only its Tape.linear output projection
-on packed rows.
+runs on packed rows too: its recurrence (gates input, forget, cell, output;
+one fused Tape.lstm_layer op per layer) steps each sequence only through its
+own length, then a Tape.linear output projection.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
 
 def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
     """[batch, seq] mask of the first lengths[i] positions of each row i."""
-    batch, seq = ids.shape
+    batch, seq = np.shape(ids)
     lengths = np.asarray(lengths)
     if lengths.shape != (batch,) or ((lengths < 0) | (lengths > seq)).any():
         raise ShapeError(f"lengths {lengths.tolist()} must be {batch} counts in 0..{seq}")
@@ -200,10 +200,10 @@ def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) 
     """Packed logits from the stacked LSTM recurrence."""
     cfg: LstmConfig = params.config
     p = params.tensors
-    x = tape.embedding_lookup(p["embed"], ids)
+    keep = _keep_mask(ids, lengths)
+    x = tape.embedding_lookup(p["embed"], np.asarray(ids)[keep])
     for i in range(cfg.layers):
-        x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"])
-    x = tape.masked_rows(x, _keep_mask(np.asarray(ids), lengths))
+        x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"], keep)
     return tape.linear(x, p["out.w"], p["out.b"])
 
 

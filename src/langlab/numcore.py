@@ -6,14 +6,14 @@ requires them.  Tensors are written once by their producing op and treated as
 immutable afterwards; independent Tapes are independent, so separate threads
 may each run their own.
 
-The Tape has the eleven ops that the two language models run, each emitting
+The Tape has the ten ops that the two language models run, each emitting
 one tape record: add, gelu, matmul (2-d), transpose, linear (x @ w + b over
-the last axis of x), embedding_lookup, masked_rows, causal_attention
-(multi-head masked self-attention), lstm_layer (one LSTM layer over a whole
-sequence), layer_norm and cross_entropy.  linear, causal_attention and
-lstm_layer are fused, with hand-written backwards (through time, for
-lstm_layer).  Padding-free batches are packed: one row per kept position,
-batch-major, the kept positions of each sequence a prefix of it.
+the last axis of x), embedding_lookup, causal_attention (multi-head masked
+self-attention), lstm_layer (one LSTM layer), layer_norm and cross_entropy.
+linear, causal_attention and lstm_layer are fused, with hand-written
+backwards.  causal_attention and lstm_layer take padding-free packed rows:
+one row per kept position, batch-major, the kept positions of each sequence
+a prefix of it, named by a [batch, seq] mask.
 """
 
 from __future__ import annotations
@@ -42,6 +42,14 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e += 1.0
     y /= e
     return y
+
+
+def _prefix_keep(keep, rows: int, what: str) -> np.ndarray:
+    """keep as a [batch, seq] mask of row prefixes, one true entry per row."""
+    keep = np.asarray(keep, dtype=bool)
+    if keep.ndim != 2 or keep.sum() != rows or (keep[:, 1:] > keep[:, :-1]).any():
+        raise ShapeError(f"{what} vs keep {keep.shape} ({keep.sum()}), a prefix of each row")
+    return keep
 
 
 class Tensor:
@@ -190,19 +198,6 @@ class Tape:
 
         return self._emit(table.data[ids], (table,), bwd)
 
-    def masked_rows(self, a: Tensor, mask: np.ndarray) -> Tensor:
-        """The rows a.data[mask] of a boolean mask over a's leading axes."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim >= a.data.ndim or a.shape[:mask.ndim] != mask.shape:
-            raise ShapeError(f"masked_rows: mask {mask.shape} vs {a.shape}")
-
-        def bwd(g):
-            full = np.zeros_like(a.data)
-            full[mask] = g
-            return (full,)
-
-        return self._emit(a.data[mask], (a,), bwd)
-
     # ----------------------------------------------------------- row-wise ops
 
     def causal_attention(self, q: Tensor, k: Tensor, v: Tensor, heads: int,
@@ -213,11 +208,10 @@ class Tape:
         elsewhere), scores q @ k^T / sqrt(dim/heads) plus a causal mask (i
         attends to j <= i, all kept) softmaxed with max-subtraction, and the
         kept rows of the head outputs gathered."""
-        keep = np.asarray(keep, dtype=bool)
-        if (q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape or keep.ndim != 2
-                or keep.sum() != q.shape[0] or (keep[:, 1:] > keep[:, :-1]).any()):
-            raise ShapeError(f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape} vs "
-                             f"keep {keep.shape} ({keep.sum()}), a prefix of each row")
+        what = f"causal_attention: q {q.shape}, k {k.shape}, v {v.shape}"
+        if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+            raise ShapeError(what)
+        keep = _prefix_keep(keep, q.shape[0], what)
         (batch, seq), dim = keep.shape, q.shape[1]
         if heads < 1 or dim % heads:
             raise ShapeError(f"causal_attention: dim {dim} not divisible by {heads} heads")
@@ -253,64 +247,79 @@ class Tape:
 
         return self._emit(merge(np.matmul(y, vh)), (q, k, v), bwd)
 
-    def lstm_layer(self, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-        """One LSTM layer over [batch, seq, in] inputs from a zero state.
-
-        wx [in, 4h], wh [h, 4h] and b [4h] hold the gates in the order
-        (input, forget, cell, output).  Returns the hidden states
-        [batch, seq, h].  The input projection of every timestep is one
-        matmul; the backward walks time in reverse and gets each weight
-        gradient from one matmul over all timesteps.
-        """
+    def lstm_layer(self, x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+                   keep: np.ndarray) -> Tensor:
+        """One LSTM layer from a zero state over packed [rows, in] inputs, one
+        row per true entry of keep, a [batch, seq] mask of row prefixes; wx
+        [in, 4h], wh [h, 4h] and b [4h] hold the gates (input, forget, cell,
+        output).  Returns the hidden states [rows, h] in the order of x.  The
+        rows run time-major, longest sequence first (a stable sort), so step
+        t computes only its n_t running sequences, the first n_t rows of step
+        t - 1.  The backward walks time in reverse; the input projection and
+        each weight gradient are one matmul over all rows."""
         n = wh.shape[0] if wh.data.ndim == 2 else 0
-        if (x.data.ndim != 3 or n < 1 or wh.shape != (n, 4 * n)
-                or wx.shape != (x.shape[2], 4 * n) or b.shape != (4 * n,)):
-            raise ShapeError(
-                f"lstm_layer: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}")
-        batch, seq, n_in = x.shape
+        what = f"lstm_layer: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+        if (x.data.ndim != 2 or n < 1 or wh.shape != (n, 4 * n)
+                or wx.shape != (x.shape[1], 4 * n) or b.shape != (4 * n,)):
+            raise ShapeError(what)
+        keep = _prefix_keep(keep, x.shape[0], what)
+        order = np.argsort(-keep.sum(axis=1), kind="stable")
+        running = keep[order].T  # [seq, batch]
+        rows = (np.cumsum(keep).reshape(keep.shape) - 1)[order].T[running]  # rows of x
+        counts = running.sum(axis=1)
+        bounds = [0] + np.cumsum(counts[counts > 0]).tolist()  # step t: bounds[t:t + 2]
 
         def gates(a):  # views of the (input, forget, cell, output) blocks
             return a[:, :n], a[:, n:2 * n], a[:, 2 * n:3 * n], a[:, 3 * n:]
 
-        xt = x.data.swapaxes(0, 1).reshape(seq * batch, n_in)  # time-major rows
+        def before(t, m, slab):  # step t - 1's first m rows of a slab; 0 at t = 0
+            return slab[bounds[t - 1]:bounds[t - 1] + m] if t else 0.0
+
+        xt = x.data[rows]
         # pre-activations, overwritten step by step with the activations
-        acts = (xt @ wx.data + b.data).reshape(seq, batch, 4 * n)
-        hs = np.empty((seq, batch, n))
-        cs = np.zeros((seq + 1, batch, n))  # cs[t + 1] is c_t; cs[0] the zero state
-        for t in range(seq):
-            a = acts[t]
-            if t:
-                a += hs[t - 1] @ wh.data
+        acts = xt @ wx.data
+        acts += b.data
+        hs, cs, tcs = np.zeros((3, len(rows), n))  # h_t, c_t and tanh(c_t)
+        rec = np.empty((max(len(keep), 2), 4 * n))
+        for t in range(len(bounds) - 1):
+            lo, hi = bounds[t], bounds[t + 1]
+            a = acts[lo:hi]
+            if t:  # 2+ rows (hs has a 2nd): numpy's 1-row gemv rounds unlike gemm
+                r = max(hi - lo, 2)
+                a += np.matmul(before(t, r, hs), wh.data, out=rec[:r])[:hi - lo]
             g = np.tanh(a[:, 2 * n:3 * n])
             _sigmoid(a, out=a)
             a[:, 2 * n:3 * n] = g
             i, f, g, o = gates(a)
-            np.add(f * cs[t], i * g, out=cs[t + 1])
-            np.multiply(o, np.tanh(cs[t + 1]), out=hs[t])
+            np.add(f * before(t, hi - lo, cs), i * g, out=cs[lo:hi])
+            np.tanh(cs[lo:hi], out=tcs[lo:hi])
+            np.multiply(o, tcs[lo:hi], out=hs[lo:hi])
+        back = np.argsort(rows)  # packed row order from time-major
 
         def bwd(gout):
-            gt = gout.swapaxes(0, 1)
-            dz = np.empty((seq, batch, 4 * n))
-            dh = dc = 0.0
-            for t in reversed(range(seq)):
-                i, f, g, o = gates(acts[t])
-                di, df, dg, do = gates(dz[t])
-                tc = np.tanh(cs[t + 1])
-                dh = gt[t] + dh
-                dc = dc + dh * o * (1.0 - tc * tc)
-                np.multiply(dh * tc * o, 1.0 - o, out=do)
-                np.multiply(dc * g * i, 1.0 - i, out=di)
-                np.multiply(dc * cs[t] * f, 1.0 - f, out=df)
-                np.multiply(dc * i, 1.0 - g * g, out=dg)
-                dc = dc * f
+            gt = gout[rows]
+            dz = np.empty_like(acts)
+            dh, dc = np.zeros((2, len(keep), n))  # a row that stops starts at 0
+            for t in reversed(range(len(bounds) - 1)):
+                lo, hi = bounds[t], bounds[t + 1]
+                i, f, g, o = gates(acts[lo:hi])
+                di, df, dg, do = gates(dz[lo:hi])
+                tc, d, c = tcs[lo:hi], dh[:hi - lo], dc[:hi - lo]
+                d += gt[lo:hi]
+                c += d * o * (1.0 - tc * tc)
+                np.multiply(d * tc * o, 1.0 - o, out=do)
+                np.multiply(c * g * i, 1.0 - i, out=di)
+                np.multiply(c * before(t, hi - lo, cs) * f, 1.0 - f, out=df)
+                np.multiply(c * i, 1.0 - g * g, out=dg)
+                c *= f
                 if t:
-                    dh = dz[t] @ wh.data.T
-            dz2 = dz.reshape(seq * batch, 4 * n)
-            dx = (dz2 @ wx.data.T).reshape(seq, batch, n_in).swapaxes(0, 1)
-            dwh = hs[:-1].reshape(-1, n).T @ dz2[batch:]
-            return dx, xt.T @ dz2, dwh, dz2.sum(axis=0)
+                    np.matmul(dz[lo:hi], wh.data.T, out=d)
+            first = counts[:1].sum()  # dwh: each row of steps t >= 1 by its h_{t-1}
+            prev = np.arange(first, len(rows)) - np.repeat(counts[:-1], counts[1:])
+            return ((dz @ wx.data.T)[back], xt.T @ dz, hs[prev].T @ dz[first:],
+                    dz.sum(axis=0))
 
-        return self._emit(hs.swapaxes(0, 1), (x, wx, wh, b), bwd)
+        return self._emit(hs[back], (x, wx, wh, b), bwd)
 
     def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor,
                    eps: float = 1e-5) -> Tensor:

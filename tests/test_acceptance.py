@@ -136,9 +136,10 @@ def test_criterion_3_gradient_correctness():
     # own generator, so the draws below stay as they were
     lstm_rng = np.random.default_rng(98)
     wx, wh, b = (Tensor(lstm_rng.normal(size=s)) for s in ((4, 12), (3, 12), (12,)))
-    wout = Tensor(lstm_rng.normal(size=(2, 3, 3)))
-    check(lambda t, x: dot(t, t.lstm_layer(x, wx, wh, b), wout),
-          lstm_rng.normal(size=(2, 3, 4)))
+    wout = Tensor(lstm_rng.normal(size=(2, 3, 3)).reshape(6, 3))
+    full = np.ones((2, 3), dtype=bool)
+    check(lambda t, x: dot(t, t.lstm_layer(x, wx, wh, b, full), wout),
+          lstm_rng.normal(size=(2, 3, 4)).reshape(6, 4))
     lin_rng = np.random.default_rng(97)
     w43, b3 = Tensor(lin_rng.normal(size=(4, 3))), Tensor(lin_rng.normal(size=3))
     check(lambda t, x: dot(t, t.linear(x, w43, b3), t.linear(x, w43, b3)),
@@ -148,8 +149,12 @@ def test_criterion_3_gradient_correctness():
     w94 = Tensor(att_rng.normal(size=(9, 4)))
     check(lambda t, x: dot(t, t.causal_attention(x, x, x, 2, keep), w94),
           att_rng.normal(size=(9, 4)))
-    check(lambda t, x: dot(t, t.masked_rows(x, keep), t.masked_rows(x, keep)),
-          att_rng.normal(size=(3, 4, 2)))
+    rag_rng = np.random.default_rng(95)
+    ragged = np.arange(4) < np.array([[2], [0], [4]])  # one empty sequence, 6 kept
+    rwx, rwh, rb = (Tensor(rag_rng.normal(size=s)) for s in ((3, 8), (2, 8), (8,)))
+    w62 = Tensor(rag_rng.normal(size=(6, 2)))
+    check(lambda t, x: dot(t, t.lstm_layer(x, rwx, rwh, rb, ragged), w62),
+          rag_rng.normal(size=(6, 3)))
 
     # Full losses at the stated tiny configs (vocab 16, seq 8, dim 16),
     # checked along central differences in random directions plus the

@@ -20,6 +20,7 @@ from langlab.models import (
 )
 from langlab.numcore import ShapeError, Tape
 from langlab.tokenizer import PAD_ID
+from refops import take
 
 _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).parent.parent / "tools" / "make_golden.py")
@@ -189,7 +190,7 @@ def test_packed_gradients_match_ignore_id_path(arch_cfg):
             logits = forward(params, ids[:, :-1], tape, keep.sum(1))
         else:
             full = forward(params, ids[:, :-1], tape, np.full(2, 7))
-            logits = tape.masked_rows(full, keep.ravel())
+            logits = take(tape, full, keep.ravel())
         loss = tape.cross_entropy(logits, targets[keep])
         tape.backward(loss)
         losses.append(float(loss.data))

@@ -90,7 +90,7 @@ def test_cross_entropy_ignore_id():
     targets = np.array([2, 0, 0, 3])
     tape = Tape()
     keep = targets != 0
-    loss = tape.cross_entropy(tape.masked_rows(Tensor(logits), keep), targets[keep])
+    loss = tape.cross_entropy(take(tape, Tensor(logits), keep), targets[keep])
     total = 0.0
     for t in (0, 3):
         p = np.exp(logits[t]) / np.exp(logits[t]).sum()
@@ -100,7 +100,7 @@ def test_cross_entropy_ignore_id():
 
 def test_cross_entropy_all_ignored():
     tape = Tape()
-    rows = tape.masked_rows(Tensor(np.zeros((2, 4))), np.zeros(2, dtype=bool))
+    rows = take(tape, Tensor(np.zeros((2, 4))), np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="no targets"):
         tape.cross_entropy(rows, np.zeros(0, dtype=int))
 
@@ -217,21 +217,6 @@ def test_fd_embedding_lookup():
     ids = np.array([[0, 2], [1, 0]])
     fd(lambda t, x: dot(t, t.embedding_lookup(x, ids), t.embedding_lookup(x, ids)),
        rand(3, 4))
-
-
-def test_fd_masked_rows():
-    rng = np.random.default_rng(11)  # own generator: RNG's draws stay as they were
-    mask = np.array([[True, True, False], [True, False, False]])
-    x, w = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(3, 4)))
-    assert Tape().masked_rows(x, mask).data.tobytes() == x.data[mask].tobytes()
-    fd(lambda t, v: dot(t, t.masked_rows(v, mask), w), x)
-
-
-def test_masked_rows_shape_errors():
-    x = Tensor(np.zeros((2, 3, 4)))
-    for bad in (np.ones((3, 2), dtype=bool), np.ones((2, 3, 4), dtype=bool)):
-        with pytest.raises(ShapeError, match=r"masked_rows: mask .* vs \(2, 3, 4\)"):
-            Tape().masked_rows(x, bad)
 
 
 def test_fd_softmax():
@@ -407,6 +392,29 @@ def lstm_case(draw):
     return tuple(Tensor(rng.normal(size=s)) for s in shapes)
 
 
+@st.composite
+def ragged_lstm_case(draw):
+    """lstm_case's sizes with ragged lengths 0..seq, not all 0: (x, wx, wh, b,
+    loss weights, keep), x and the loss weights packed rows."""
+    batch, seq = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(0, seq), min_size=batch, max_size=batch)
+                   .filter(any))
+    n_in, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    keep = np.arange(seq) < np.array(lengths)[:, None]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = int(keep.sum())
+    shapes = ((rows, n_in), (n_in, 4 * n), (n, 4 * n), (4 * n,), (rows, n))
+    return tuple(Tensor(rng.normal(size=s)) for s in shapes) + (keep,)
+
+
+def full_lstm(t, x, wx, wh, b):
+    """lstm_layer of [batch, seq, in] inputs with every position kept."""
+    batch, seq, n_in = x.shape
+    out = t.lstm_layer(reshape(t, x, (batch * seq, n_in)), wx, wh, b,
+                       np.ones((batch, seq), dtype=bool))
+    return reshape(t, out, (batch, seq, -1))
+
+
 @pytest.mark.parametrize("which", range(4), ids=("x", "wx", "wh", "b"))
 @given(case=lstm_case())
 @settings(max_examples=20, deadline=None)
@@ -416,7 +424,22 @@ def test_fd_lstm_layer(which, case):
     def f(t, v):
         probe = list(args)
         probe[which] = v
-        return dot(t, t.lstm_layer(*probe), w)
+        return dot(t, full_lstm(t, *probe), w)
+
+    err = fd_scaled(f, args[which])
+    assert err < 1e-7, f"finite-difference error {err:.3e}"
+
+
+@pytest.mark.parametrize("which", range(4), ids=("x", "wx", "wh", "b"))
+@given(case=ragged_lstm_case())
+@settings(max_examples=20, deadline=None)
+def test_fd_lstm_layer_ragged(which, case):
+    *args, w, keep = case
+
+    def f(t, v):
+        probe = list(args)
+        probe[which] = v
+        return dot(t, t.lstm_layer(*probe, keep), w)
 
     err = fd_scaled(f, args[which])
     assert err < 1e-7, f"finite-difference error {err:.3e}"
@@ -445,7 +468,7 @@ def test_lstm_layer_matches_per_step_loop():
     data = [RNG.normal(size=s) for s in shapes]
     w = rand(3, 5, 6)
     results = []
-    for op in (Tape.lstm_layer, _per_step_lstm):
+    for op in (full_lstm, _per_step_lstm):
         tape = Tape()
         args = [Tensor(a.copy(), requires_grad=True) for a in data]
         out = op(tape, *args)
@@ -456,26 +479,80 @@ def test_lstm_layer_matches_per_step_loop():
         assert np.all(np.abs(fused - loop) <= 1e-14 * np.maximum(np.abs(loop), 1.0))
 
 
+@pytest.mark.parametrize("lengths", ([5, 0, 3], [1, 5, 5], [2, 1, 4], [0, 0, 0]))
+def test_lstm_layer_ragged_matches_per_step_loop(lengths):
+    """The packed rows and the four gradients are the per-step loop's over
+    the full rectangle, at the kept positions, up to summation order."""
+    rng = np.random.default_rng(13)  # own generator: RNG's draws stay as they were
+    keep = np.arange(5) < np.array(lengths)[:, None]
+    data = [rng.normal(size=s) for s in ((3, 5, 4), (4, 24), (6, 24), (24,))]
+    w = Tensor(rng.normal(size=(int(keep.sum()), 6)))
+    results = []
+    for packed in (True, False):
+        tape = Tape()
+        args = [Tensor(data[0][keep] if packed else data[0], requires_grad=True)]
+        args += [Tensor(a, requires_grad=True) for a in data[1:]]
+        if packed:
+            out = tape.lstm_layer(*args, keep)
+        else:
+            out = take(tape, _per_step_lstm(tape, *args), keep)
+        tape.backward(dot(tape, out, w))
+        grads = [a.grad for a in args]
+        results.append([out.data, grads[0] if packed else grads[0][keep]] + grads[1:])
+    for fused, loop in zip(*results):
+        assert fused.shape == loop.shape
+        assert np.all(np.abs(fused - loop) <= 1e-14 * np.maximum(np.abs(loop), 1.0))
+
+
 def test_lstm_layer_is_causal():
     wx, wh, b = rand(3, 16), rand(4, 16), rand(16)
     x = RNG.normal(size=(2, 6, 3))
-    base = Tape().lstm_layer(Tensor(x), wx, wh, b).data
+    base = full_lstm(Tape(), Tensor(x), wx, wh, b).data
     for j in range(6):
         changed = x.copy()
         changed[:, j, :] += RNG.normal(size=(2, 3))
-        out = Tape().lstm_layer(Tensor(changed), wx, wh, b).data
+        out = full_lstm(Tape(), Tensor(changed), wx, wh, b).data
         assert out[:, :j].tobytes() == base[:, :j].tobytes()
         assert not np.array_equal(out[:, j:], base[:, j:])
 
 
+def test_lstm_layer_ragged_is_causal():
+    """A change to one kept input row changes its own sequence's hidden
+    states from that position on, and no bit of any other row."""
+    rng = np.random.default_rng(17)  # own generator: RNG's draws stay as they were
+    keep = np.arange(5) < np.array([3, 5, 0, 1])[:, None]
+    wx, wh, b = (Tensor(rng.normal(size=s)) for s in ((3, 16), (4, 16), (16,)))
+    x = rng.normal(size=(int(keep.sum()), 3))
+    base = Tape().lstm_layer(Tensor(x), wx, wh, b, keep).data
+    seq_of, pos_of = np.nonzero(keep)
+    for r in range(len(x)):
+        changed = x.copy()
+        changed[r] += rng.normal(size=3)
+        out = Tape().lstm_layer(Tensor(changed), wx, wh, b, keep).data
+        later = (seq_of == seq_of[r]) & (pos_of >= pos_of[r])
+        assert out[~later].tobytes() == base[~later].tobytes()
+        assert (out[later] != base[later]).any(axis=1).all()
+
+
 def test_lstm_layer_shape_errors():
-    x, wx, wh, b = rand(2, 3, 5), rand(5, 16), rand(4, 16), rand(16)
-    Tape().lstm_layer(x, wx, wh, b)
+    x, wx, wh, b = rand(6, 5), rand(5, 16), rand(4, 16), rand(16)
+    keep = np.ones((2, 3), dtype=bool)
+    Tape().lstm_layer(x, wx, wh, b, keep)
     for bad in ((x, rand(4, 16), wh, b), (x, rand(5, 12), wh, b),
                 (x, wx, rand(4, 12), b), (x, wx, rand(3, 16), b),
-                (x, wx, wh, rand(12)), (rand(3, 5), wx, wh, b)):
+                (x, wx, wh, rand(12)), (Tensor(rand(3, 5).data[None]), wx, wh, b)):
         with pytest.raises(ShapeError, match="lstm_layer"):
-            Tape().lstm_layer(*bad)
+            Tape().lstm_layer(*bad, keep)
+    # a wrong count, rank or non-prefix keep: the same text from both ops
+    q = Tensor(np.zeros((6, 4)))
+    for bad in (np.ones((2, 2), dtype=bool), np.ones(6, dtype=bool),
+                np.array([[1, 0, 1, 1], [1, 1, 1, 0]], dtype=bool)):
+        with pytest.raises(ShapeError, match=r"^lstm_layer: x \(6, 5\), .* vs keep") as err:
+            Tape().lstm_layer(x, wx, wh, b, bad)
+        with pytest.raises(ShapeError) as att_err:
+            Tape().causal_attention(q, q, q, 2, bad)
+        tail = f" vs keep {bad.shape} ({bad.sum()}), a prefix of each row"
+        assert str(err.value).endswith(tail) and str(att_err.value).endswith(tail)
 
 
 @st.composite

@@ -39,6 +39,18 @@ def _text(values):
     return f"{values:.17g}"
 
 
+def _kept_rows(tape, rows, keep):
+    """rows.data[keep], the gradient scattered back into zeros.  keep need not
+    be a prefix of each sequence: IDS has a PAD inside its first row."""
+
+    def bwd(g):
+        full = np.zeros_like(rows.data)
+        full[keep] = g
+        return (full,)
+
+    return tape._emit(rows.data[keep], (rows,), bwd)
+
+
 def golden_values(params, ids):
     """Logits of every position, [batch, seq, vocab], and the parameter
     gradients of the training loss, which predicts the non-PAD ids[:, 1:]
@@ -48,7 +60,7 @@ def golden_values(params, ids):
     tape = Tape()
     rows = forward(params, ids[:, :-1], tape, np.full(batch, seq - 1))
     keep = ids[:, 1:] != PAD_ID
-    tape.backward(tape.cross_entropy(tape.masked_rows(rows, keep.ravel()),
+    tape.backward(tape.cross_entropy(_kept_rows(tape, rows, keep.ravel()),
                                      ids[:, 1:][keep]))
     return (logits.data.reshape(batch, seq, -1),
             {name: t.grad for name, t in params.tensors.items()})
