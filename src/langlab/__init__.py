@@ -9,25 +9,21 @@ from .grammar import (  # noqa: F401
     RewriteRule,
     Sentence,
     default_grammar,
-    derives,
     generate_corpus,
-    generate_sentence,
 )
 from .transforms import (  # noqa: F401
     NOT_TOKEN,
     TransformKind,
     apply_transform,
     invert_parity_negation,
-    transform_corpus,
 )
 from .tokenizer import (  # noqa: F401
     EncodedSequence,
     Vocabulary,
     build_vocabulary,
-    decode,
     encode,
 )
-from .numcore import Tape, Tensor, finite_difference_check  # noqa: F401
+from .numcore import Tape, Tensor  # noqa: F401
 from .models import (  # noqa: F401
     LstmConfig,
     ModelParameters,

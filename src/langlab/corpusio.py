@@ -8,13 +8,25 @@ from typing import Iterable, Iterator
 from .grammar import Sentence
 
 __all__ = ["InputError", "write_corpus", "read_corpus", "iter_corpus",
-           "normalize_line"]
+           "normalize_line", "read_text"]
 
 _TERMINAL_PUNCTUATION = ".!?,;:"
 
 
 class InputError(ValueError):
     """A missing, unreadable or malformed input file."""
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
+    return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def read_text(path: str | Path) -> str:
+    """The whole text of a UTF-8 file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
 
 def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
@@ -39,17 +51,20 @@ def iter_corpus(path: str | Path,
     skipping blank lines; with ``normalize``, each line goes through
     normalize_line first."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = normalize_line(line) if normalize else line.rstrip("\n")
-            if line:
-                words = tuple(line.split(" "))
-                if "" in words:
-                    raise InputError(f"{path}: line {line_no}: empty word (stray space)")
-                if not line.isprintable():  # of all whitespace, only " " passes
-                    c = next(c for c in line if not c.isprintable())
-                    kind = "whitespace" if c.isspace() else "unprintable character"
-                    raise InputError(f"{path}: line {line_no}: {kind} U+{ord(c):04X} inside a word")
-                yield line_no, Sentence(words)
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = normalize_line(line) if normalize else line.rstrip("\n")
+                if line:
+                    words = tuple(line.split(" "))
+                    if "" in words:
+                        raise InputError(f"{path}: line {line_no}: empty word (stray space)")
+                    if not line.isprintable():  # of all whitespace, only " " passes
+                        c = next(c for c in line if not c.isprintable())
+                        kind = "whitespace" if c.isspace() else "unprintable character"
+                        raise InputError(f"{path}: line {line_no}: {kind} U+{ord(c):04X} inside a word")
+                    yield line_no, Sentence(words)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:

@@ -1,4 +1,4 @@
-"""Context-free SVO grammar, seeded corpus generation, and a membership oracle.
+"""Context-free SVO grammar and seeded corpus generation.
 
 The grammar is a plain (V, sigma, R, S) quadruple over lowercase English words.
 Number agreement between the subject and the auxiliary is enforced during
@@ -18,9 +18,7 @@ __all__ = [
     "Sentence",
     "GenerationConfig",
     "default_grammar",
-    "generate_sentence",
     "generate_corpus",
-    "derives",
     "pluralize",
     "load_lexicon",
     "MODALS",
@@ -111,7 +109,6 @@ class Sentence:
     """An ordered sequence of lowercase word tokens, free of punctuation."""
 
     words: tuple[str, ...]
-    meta: tuple[int, ...] | None = None  # derivation trace: rule indices, preorder
 
     @classmethod
     def from_text(cls, text: str) -> "Sentence":
@@ -120,9 +117,6 @@ class Sentence:
     @property
     def text(self) -> str:
         return " ".join(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass(frozen=True)
@@ -284,7 +278,6 @@ def _expander(grammar: Grammar, config: GenerationConfig | None):
     def expand(rng: random.Random) -> Sentence:
         randrange = rng.randrange
         words: list[str] = []
-        trace: list[int] = []
         number = ""  # set by the subject NP, the only NP expanded
         stack = [start]
         while stack:
@@ -296,22 +289,12 @@ def _expander(grammar: Grammar, config: GenerationConfig | None):
             if type(candidates) is dict:
                 candidates = candidates[number]
             index = candidates[randrange(len(candidates))]
-            trace.append(index)
             if symbol == "NP":
                 number = subject_number[index]
             stack.extend(reversed_rhs[index])
-        return Sentence(tuple(words), tuple(trace))
+        return Sentence(tuple(words))
 
     return expand
-
-
-def generate_sentence(
-    grammar: Grammar,
-    rng: random.Random,
-    config: GenerationConfig | None = None,
-) -> Sentence:
-    """One random sentence with derivation trace, agreement enforced."""
-    return _expander(grammar, config)(rng)
 
 
 def generate_corpus(grammar: Grammar, config: GenerationConfig) -> list[Sentence]:
@@ -321,42 +304,3 @@ def generate_corpus(grammar: Grammar, config: GenerationConfig) -> list[Sentence
     expand = _expander(grammar, config)  # validates the sizes up front
     rng = random.Random(config.seed)
     return [expand(rng) for _ in range(config.count)]
-
-
-def derives(grammar: Grammar, sentence: Sentence) -> bool:
-    """Exhaustive top-down membership test.
-
-    Terminates because the grammar is non-recursive; memoized on
-    (symbol, position) so repeated subproblems are parsed once.
-    """
-    words = sentence.words
-    n = len(words)
-    memo: dict[tuple[str, int], frozenset[int]] = {}
-
-    def parse_symbol(symbol: str, i: int) -> frozenset[int]:
-        if symbol in grammar.terminals:
-            if i < n and words[i] == symbol:
-                return frozenset((i + 1,))
-            return frozenset()
-        key = (symbol, i)
-        if key in memo:
-            return memo[key]
-        ends: set[int] = set()
-        for index in grammar.rules_for(symbol):
-            ends.update(parse_seq(grammar.rules[index].rhs, i))
-        result = frozenset(ends)
-        memo[key] = result
-        return result
-
-    def parse_seq(rhs: tuple[str, ...], i: int) -> frozenset[int]:
-        positions = {i}
-        for sym in rhs:
-            nxt: set[int] = set()
-            for p in positions:
-                nxt.update(parse_symbol(sym, p))
-            if not nxt:
-                return frozenset()
-            positions = nxt
-        return frozenset(positions)
-
-    return n > 0 and n in parse_symbol(grammar.start, 0)

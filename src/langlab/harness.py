@@ -35,7 +35,6 @@ __all__ = [
     "run_experiment",
     "model_config",
     "train_run",
-    "emit_report",
     "linearity_gradient_summary",
     "render_text_report",
     "parse_spec_file",
@@ -345,8 +344,10 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     _write_curves(out, all_series, spec)
     _write_tables(out, report)
     _write_plots(out, all_series, report)
-    emit_report(report, out, "json")
-    emit_report(report, out, "text")
+    (out / "report.json").write_text(
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
+    (out / "report.txt").write_text(render_text_report(report), encoding="utf-8")
     return report
 
 
@@ -480,28 +481,18 @@ def render_text_report(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-def emit_report(report: RunReport, out_dir: str | Path, fmt: str = "json") -> Path:
-    """Write report.json or report.txt under out_dir; returns the path."""
-    out = Path(out_dir)
-    if fmt == "json":
-        path = out / "report.json"
-        path.write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    elif fmt == "text":
-        path = out / "report.txt"
-        path.write_text(render_text_report(report), encoding="utf-8")
-    else:
-        raise ConfigError(f"unknown report format: {fmt!r}")
-    return path
-
-
 def load_report(run_dir: str | Path) -> RunReport:
     path = Path(run_dir) / "report.json"
     if not path.is_file():
         raise InputError(f"no report.json under {run_dir}")
-    return RunReport.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return RunReport.from_json_dict(json.loads(corpusio.read_text(path)))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a value of the wrong type or shape
+        raise InputError(f"{path}: malformed report: {exc}") from exc
 
 
 # ------------------------------------------------------------- spec file I/O
@@ -524,7 +515,7 @@ def parse_spec_file(path: str | Path, overrides: dict | None = None) -> Experime
     if not Path(path).is_file():
         raise InputError(f"spec file not found: {path}")
     pairs: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, raw in enumerate(corpusio.read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

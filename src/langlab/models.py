@@ -7,10 +7,10 @@ prefix) are computed, and their logits come packed batch-major as
 models are causal: position i only sees tokens at positions <= i.  The
 transformer runs on packed rows: learned positional embeddings, pre-layer-norm
 blocks, masked multi-head attention, a gelu feed-forward, Tape.linear
-projections and an output projection tied to the token embedding.  The LSTM
-runs on packed rows too: its recurrence (gates input, forget, cell, output;
-one fused Tape.lstm_layer op per layer) steps each sequence only through its
-own length, then a Tape.linear output projection.
+projections and a Tape.unembed output projection tied to the token
+embedding.  The LSTM runs on packed rows too: its recurrence (gates input,
+forget, cell, output; one fused Tape.lstm_layer op per layer) steps each
+sequence only through its own length, then a Tape.linear output projection.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "forward",
     "transformer_forward",
     "lstm_forward",
-    "parameter_count",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
@@ -81,10 +80,6 @@ class ModelParameters:
     arch: str  # "transformer" | "lstm"
     config: TransformerConfig | LstmConfig
     tensors: dict[str, Tensor]
-
-
-def parameter_count(params: ModelParameters) -> int:
-    return sum(t.data.size for t in params.tensors.values())
 
 
 def _init_transformer(cfg: TransformerConfig) -> ModelParameters:
@@ -193,7 +188,7 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
         x = tape.add(x, linear(ff, "ff.w2", "ff.b2"))
 
     x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
-    return tape.matmul(x, tape.transpose(p["tok_emb"]))  # tied projection
+    return tape.unembed(x, p["tok_emb"])
 
 
 def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Tensor:

@@ -6,14 +6,15 @@ requires them.  Tensors are written once by their producing op and treated as
 immutable afterwards; independent Tapes are independent, so separate threads
 may each run their own.
 
-The Tape has the ten ops that the two language models run, each emitting
-one tape record: add, gelu, matmul (2-d), transpose, linear (x @ w + b over
-the last axis of x), embedding_lookup, causal_attention (multi-head masked
-self-attention), lstm_layer (one LSTM layer), layer_norm and cross_entropy.
-linear, causal_attention and lstm_layer are fused, with hand-written
-backwards.  causal_attention and lstm_layer take padding-free packed rows:
-one row per kept position, batch-major, the kept positions of each sequence
-a prefix of it, named by a [batch, seq] mask.
+The Tape has the nine ops that the two language models run, each emitting
+one tape record: add, gelu, linear (x @ w + b over the last axis of x),
+unembed (x @ table^T, the output projection tied to an embedding table),
+embedding_lookup, causal_attention (multi-head masked self-attention),
+lstm_layer (one LSTM layer), layer_norm and cross_entropy.  linear, unembed,
+causal_attention and lstm_layer are fused, with hand-written backwards.
+causal_attention and lstm_layer take padding-free packed rows: one row per
+kept position, batch-major, the kept positions of each sequence a prefix of
+it, named by a [batch, seq] mask.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Tensor", "Tape", "ShapeError", "finite_difference_check", "MASK_FILL"]
+__all__ = ["Tensor", "Tape", "ShapeError", "MASK_FILL"]
 
 MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
 
@@ -154,12 +155,6 @@ class Tape:
 
     # ------------------------------------------------------- structural ops
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: shapes {a.shape} vs {b.shape}")
-        return self._emit(a.data @ b.data, (a, b),
-                          lambda g: (g @ b.data.T, a.data.T @ g))
-
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """x @ w + b over the last axis of x: [..., in] to [..., out]."""
         if (x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0]
@@ -175,12 +170,15 @@ class Tape:
 
         return self._emit(y.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), bwd)
 
-    def transpose(self, a: Tensor) -> Tensor:
-        """Swap the last two axes."""
-        if a.data.ndim < 2:
-            raise ShapeError(f"transpose: need rank >= 2, got shape {a.shape}")
-        return self._emit(a.data.swapaxes(-1, -2), (a,),
-                          lambda g: (g.swapaxes(-1, -2),))
+    def unembed(self, x: Tensor, table: Tensor) -> Tensor:
+        """x [n, d] @ table [vocab, d]^T: scores of every table row, the
+        output projection tied to an embedding table."""
+        if x.data.ndim != 2 or table.data.ndim != 2 or x.shape[1] != table.shape[1]:
+            raise ShapeError(f"unembed: x {x.shape} vs table {table.shape}")
+        # (x^T g)^T, not g^T x: the table gradient keeps the BLAS summation
+        # order of matmul(x, transpose(table)), bit for bit
+        return self._emit(x.data @ table.data.T, (x, table),
+                          lambda g: (g @ table.data, (x.data.T @ g).T))
 
     def embedding_lookup(self, table: Tensor, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
@@ -380,42 +378,3 @@ class Tape:
             return (p,)
 
         return self._emit(np.asarray(loss), (logits,), bwd)
-
-
-def finite_difference_check(
-    f: Callable[[Tape, Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-5,
-) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    ``f`` must map (tape, tensor) to a scalar Tensor and be deterministic.
-    Relative error per coordinate uses denominator max(|analytic|, |numeric|,
-    1e-8).
-    """
-    if h <= 0:
-        raise ValueError("step must be positive")
-    base = x.data.copy()
-
-    tape = Tape()
-    probe = Tensor(base.copy(), requires_grad=True)
-    tape.backward(f(tape, probe))
-    analytic = (probe.grad if probe.grad is not None
-                else np.zeros_like(base)).ravel()
-
-    def value_at(arr: np.ndarray) -> float:
-        out = f(Tape(record=False), Tensor(arr))
-        return float(out.data)
-
-    worst = 0.0
-    flat = base.ravel()
-    for i in range(flat.size):
-        plus = flat.copy()
-        plus[i] += h
-        minus = flat.copy()
-        minus[i] -= h
-        numeric = (value_at(plus.reshape(base.shape))
-                   - value_at(minus.reshape(base.shape))) / (2 * h)
-        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[i] - numeric) / denom)
-    return worst

@@ -13,6 +13,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
+from .corpusio import InputError, read_text
 from .grammar import Sentence
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "EncodedSequence",
     "build_vocabulary",
     "encode",
-    "decode",
     "save_vocabulary",
     "load_vocabulary",
 ]
@@ -38,11 +38,7 @@ SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
 class Vocabulary:
-    """Bidirectional word/id map; immutable after build.
-
-    ``unk_events`` counts UNK substitutions made by encode() as a diagnostic;
-    it is excluded from equality and persistence.
-    """
+    """Bidirectional word/id map; immutable after build."""
 
     def __init__(self, words: Iterable[str]):
         self.id_to_word: list[str] = list(SPECIAL_TOKENS)
@@ -52,24 +48,12 @@ class Vocabulary:
                 continue
             self.word_to_id[w] = len(self.id_to_word)
             self.id_to_word.append(w)
-        self.unk_events = 0
 
     def __len__(self) -> int:
         return len(self.id_to_word)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_to_id
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocabulary) and self.id_to_word == other.id_to_word
-
-    def id_for(self, word: str) -> int:
-        return self.word_to_id.get(word, UNK_ID)
-
-    def word_for(self, idx: int) -> str:
-        if not 0 <= idx < len(self.id_to_word):
-            raise ValueError(f"id {idx} out of range for vocabulary of {len(self)}")
-        return self.id_to_word[idx]
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,18 +78,8 @@ def build_vocabulary(sentences: Iterable[Sentence]) -> Vocabulary:
 
 
 def encode(vocab: Vocabulary, s: Sentence) -> EncodedSequence:
-    ids = (BOS_ID, *map(vocab.word_to_id.get, s.words, repeat(UNK_ID)), EOS_ID)
-    vocab.unk_events += ids.count(UNK_ID)
-    return EncodedSequence(ids)
-
-
-def decode(vocab: Vocabulary, e: EncodedSequence) -> Sentence:
-    words = []
-    for idx in e.ids:
-        word = vocab.word_for(idx)  # raises on out-of-range ids
-        if idx >= len(SPECIAL_TOKENS):
-            words.append(word)
-    return Sentence(tuple(words))
+    return EncodedSequence(
+        (BOS_ID, *map(vocab.word_to_id.get, s.words, repeat(UNK_ID)), EOS_ID))
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
@@ -117,7 +91,14 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """The vocabulary save_vocabulary wrote: a file without the special-token
+    header, or with a token on two lines, is an InputError."""
+    lines = read_text(path).splitlines()
     if tuple(lines[:4]) != SPECIAL_TOKENS:
-        raise ValueError(f"{path}: missing special-token header")
-    return Vocabulary(lines[4:])
+        raise InputError(f"{path}: missing special-token header")
+    vocab = Vocabulary(lines[4:])
+    if len(vocab) != len(lines):  # a repeat was skipped: the ids after it would shift
+        first: dict[str, int] = {}
+        line_no = next(i for i, w in enumerate(lines, 1) if first.setdefault(w, i) != i)
+        raise InputError(f"{path}: line {line_no}: repeated token {lines[line_no - 1]!r}")
+    return vocab

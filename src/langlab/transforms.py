@@ -3,16 +3,15 @@
 Identity leaves sentences untouched, Reverse flips the whole word order, and
 ParityNegation inserts the reserved token NOT at the end of odd-length
 sentences and at the start of even-length ones.  All transforms are purely
-positional over word tokens; capitalization is a separate rendering step.
+positional over word tokens.
 """
 
 from __future__ import annotations
 
 import enum
 from pathlib import Path
-from typing import Iterable, Iterator
 
-from .corpusio import iter_corpus, normalize_line
+from .corpusio import iter_corpus
 from .grammar import Sentence
 
 __all__ = [
@@ -21,10 +20,7 @@ __all__ = [
     "NOT_TOKEN",
     "apply_transform",
     "invert_parity_negation",
-    "transform_corpus",
     "transform_file",
-    "normalize_line",
-    "render_display",
 ]
 
 NOT_TOKEN = "NOT"
@@ -71,18 +67,6 @@ def invert_parity_negation(s: Sentence) -> Sentence:
     raise TransformError("not a parity-negation sentence")
 
 
-def transform_corpus(kind: TransformKind,
-                     sentences: Iterable[Sentence]) -> Iterator[Sentence]:
-    """Streaming per-sentence transform; a failure is reported with the
-    1-based position of its sentence."""
-    for line_no, s in enumerate(sentences, 1):
-        try:
-            out = apply_transform(kind, s)
-        except TransformError as exc:
-            raise TransformError(f"line {line_no}: {exc}") from exc
-        yield out
-
-
 def transform_file(
     kind: TransformKind,
     in_path: str | Path,
@@ -101,13 +85,3 @@ def transform_file(
             dst.write(" ".join(words) + "\n")
             written += 1
     return written
-
-
-def render_display(s: Sentence) -> str:
-    """Display form: capitalize the first non-NOT word, leave NOT as is."""
-    words = list(s.words)
-    for i, w in enumerate(words):
-        if w != NOT_TOKEN:
-            words[i] = w[:1].upper() + w[1:]
-            break
-    return " ".join(words)

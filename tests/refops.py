@@ -1,11 +1,47 @@
-"""Tape ops that only the tests use: the loss reduction of the gradient checks
-and the primitive rules the unfused references are built from.  Each is a
-free function of a Tape that records through Tape._emit, like the library's
-own ops, so finite_difference_check can run it on the Tapes it makes."""
+"""What only the tests use of a Tape: the finite-difference gradient check,
+the loss reduction of the gradient checks and the primitive rules the unfused
+references are built from.  Each rule is a free function of a Tape that
+records through Tape._emit, like the library's own ops, so
+finite_difference_check can run it on the Tapes it makes."""
 
 import numpy as np
 
-from langlab.numcore import _sigmoid
+from langlab.numcore import Tape, Tensor, _sigmoid
+
+
+def finite_difference_check(f, x: Tensor, h: float = 1e-5) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    ``f`` must map (tape, tensor) to a scalar Tensor and be deterministic.
+    Relative error per coordinate uses denominator max(|analytic|, |numeric|,
+    1e-8).
+    """
+    if h <= 0:
+        raise ValueError("step must be positive")
+    base = x.data.copy()
+
+    tape = Tape()
+    probe = Tensor(base.copy(), requires_grad=True)
+    tape.backward(f(tape, probe))
+    analytic = (probe.grad if probe.grad is not None
+                else np.zeros_like(base)).ravel()
+
+    def value_at(arr: np.ndarray) -> float:
+        out = f(Tape(record=False), Tensor(arr))
+        return float(out.data)
+
+    worst = 0.0
+    flat = base.ravel()
+    for i in range(flat.size):
+        plus = flat.copy()
+        plus[i] += h
+        minus = flat.copy()
+        minus[i] -= h
+        numeric = (value_at(plus.reshape(base.shape))
+                   - value_at(minus.reshape(base.shape))) / (2 * h)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[i] - numeric) / denom)
+    return worst
 
 
 def dot(t, a, b):
@@ -41,6 +77,11 @@ def matmul(t, a, b):
     """a @ b over the last two axes, batched over the leading ones."""
     return t._emit(a.data @ b.data, (a, b),
                    lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
+
+
+def transpose(t, a):
+    """Swap the last two axes."""
+    return t._emit(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def softmax(t, a):

@@ -16,10 +16,7 @@ from langlab.grammar import (
     GenerationConfig,
     Grammar,
     RewriteRule,
-    Sentence,
-    derives,
     generate_corpus,
-    generate_sentence,
     pluralize,
     MODALS,
 )
@@ -167,8 +164,8 @@ def test_lexicon_sizes():
 
 
 def test_generate_deterministic(grammar):
-    a = generate_sentence(grammar, random.Random(42))
-    b = generate_sentence(grammar, random.Random(42))
+    a = generate_corpus(grammar, GenerationConfig(count=1, seed=42))
+    b = generate_corpus(grammar, GenerationConfig(count=1, seed=42))
     assert a == b
 
 
@@ -193,7 +190,6 @@ def test_three_sentences_seed7_oracle_checked(grammar):
 def test_generated_sentences_match_oracle_and_derive(grammar, small_corpus):
     for s in small_corpus:
         assert oracle_parse(s.words) is not None, s.text
-        assert derives(grammar, s)
 
 
 def test_surface_length_bounds(grammar, small_corpus):
@@ -217,30 +213,23 @@ def test_sentence_tokens_clean(small_corpus):
             assert w.isalpha()
 
 
-def test_derivation_trace_recorded(grammar):
-    s = generate_sentence(grammar, random.Random(5))
-    assert s.meta
-    assert all(0 <= i < len(grammar.rules) for i in s.meta)
-    assert s.meta[0] == 0  # starts with Sentence -> NP VP
+def test_derives_reference_sentences():
+    assert oracle_parse("the workers are using phones".split()) == "pl"
+    assert oracle_parse("the horse has enjoyed the school".split()) == "sing"
+    assert oracle_parse("the girl is given cats".split()) == "sing"
 
 
-def test_derives_reference_sentences(grammar):
-    assert derives(grammar, Sentence.from_text("the workers are using phones"))
-    assert derives(grammar, Sentence.from_text("the horse has enjoyed the school"))
-    assert derives(grammar, Sentence.from_text("the girl is given cats"))
+def test_derives_rejects_reversed():
+    assert oracle_parse("phones using are workers the".split()) is None
 
 
-def test_derives_rejects_reversed(grammar):
-    assert not derives(grammar, Sentence.from_text("phones using are workers the"))
+def test_derives_rejects_empty():
+    assert oracle_parse(()) is None
 
 
-def test_derives_rejects_empty(grammar):
-    assert not derives(grammar, Sentence(()))
-
-
-def test_derives_rejects_garbage(grammar):
-    assert not derives(grammar, Sentence.from_text("the the the the the"))
-    assert not derives(grammar, Sentence.from_text("the girl is given"))
+def test_derives_rejects_garbage():
+    assert oracle_parse("the the the the the".split()) is None
+    assert oracle_parse("the girl is given".split()) is None
 
 
 def test_lexicon_size_limits(grammar):
@@ -270,8 +259,8 @@ def test_negative_count_rejected(grammar):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1))
 def test_any_seed_generates_derivable(grammar, seed):
-    s = generate_sentence(grammar, random.Random(seed))
-    assert derives(grammar, s)
+    [s] = generate_corpus(grammar, GenerationConfig(count=1, seed=seed))
+    assert oracle_parse(s.words) is not None, s.text
     assert 5 <= len(s.words) <= 8
 
 
@@ -283,7 +272,7 @@ _REF_LIMITED = {"nouns": ("N", "N_pl"), "verbs": ("V_base", "V_ing", "V_en"),
                 "modals": ("M",)}
 
 
-def _reference_expand(grammar, symbol, rng, limits, state, words, trace):
+def _reference_expand(grammar, symbol, rng, limits, state, words):
     """The recursive generator the compiled expander replaced."""
     if symbol in grammar.terminals:
         words.append(symbol)
@@ -296,21 +285,19 @@ def _reference_expand(grammar, symbol, rng, limits, state, words, trace):
         candidates = tuple(i for i in candidates
                            if _REF_AUX_NUMBER[grammar.rules[i].rhs[0]] == number)
     index = candidates[rng.randrange(len(candidates))]
-    trace.append(index)
     rule = grammar.rules[index]
     if symbol == "NP":
         state["number"] = "sing" if rule.rhs == ("NP_sing",) else "pl"
     for sym in rule.rhs:
-        _reference_expand(grammar, sym, rng, limits, state, words, trace)
+        _reference_expand(grammar, sym, rng, limits, state, words)
 
 
 def _reference_sentence(grammar, rng, config):
     limits = {sym: getattr(config, attr) for attr, syms in _REF_LIMITED.items()
               for sym in syms if getattr(config, attr) is not None}
-    words, trace = [], []
-    _reference_expand(grammar, grammar.start, rng, limits, {"number": ""},
-                      words, trace)
-    return tuple(words), tuple(trace)
+    words = []
+    _reference_expand(grammar, grammar.start, rng, limits, {"number": ""}, words)
+    return tuple(words)
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,8 +309,4 @@ def test_expander_matches_recursive_reference(grammar, seed, nouns, verbs, modal
                               modals=modals)
     rng = random.Random(seed)
     expected = [_reference_sentence(grammar, rng, config) for _ in range(config.count)]
-    assert [(s.words, s.meta) for s in generate_corpus(grammar, config)] == expected
-    rng = random.Random(seed)
-    for words_meta in expected:
-        s = generate_sentence(grammar, rng, config)
-        assert (s.words, s.meta) == words_meta
+    assert [s.words for s in generate_corpus(grammar, config)] == expected

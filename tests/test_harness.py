@@ -410,6 +410,20 @@ def bad_inputs(tmp_path_factory):
     save_vocabulary(build_vocabulary([Sentence.from_text("the")]), d / "small.vocab")
     save_vocabulary(build_vocabulary(read_corpus(d / "c.txt")), d / "big.vocab")
     save_vocabulary(build_vocabulary([Sentence.from_text("a b c d")]), d / "eight.vocab")
+    (d / "headless.vocab").write_text("a\nb\nc\nd\n")
+    # 9 lines, 8 distinct tokens: with the repeat dropped each would fit good.ckpt
+    (d / "repeat.vocab").write_text("<pad>\n<bos>\n<eos>\n<unk>\na\nb\na\nc\nd\n")
+    (d / "unk.vocab").write_text("<pad>\n<bos>\n<eos>\n<unk>\na\n<unk>\nb\nc\nd\n")
+    latin = "the café runs\n".encode("latin-1")  # é as the one byte 0xE9: not UTF-8
+    for name in ("latin.txt", "latin.vocab", "latin.spec"):
+        (d / name).write_bytes(latin)
+    for name, text in (("nojson", "{"), ("nogroups", '{"experiment": "1", "arch": "lstm"}'),
+                       ("nofields", '{"experiment": "1", "arch": "lstm", "comparisons": [],'
+                                    ' "groups": {"natural": {"group": "natural"}}}'),
+                       ("listgroups", '{"experiment": "1", "arch": "lstm", "comparisons": [],'
+                                      ' "groups": []}')):
+        (d / name).mkdir()
+        (d / name / "report.json").write_text(text)
     return d
 
 
@@ -501,6 +515,42 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                  r"^input error: \S*long\.txt: line 3: input width 26 exceeds max_seq 16 "
                  r"of checkpoint \S*t16\.ckpt$",
                  id="eval-too-long"),
+    pytest.param(_eval_args("good.ckpt", "headless.vocab"), cli.EXIT_INPUT,
+                 r"^input error: \S*headless\.vocab: missing special-token header$",
+                 id="eval-vocab-no-header"),
+    pytest.param(_eval_args("good.ckpt", "repeat.vocab"), cli.EXIT_INPUT,
+                 r"^input error: \S*repeat\.vocab: line 7: repeated token 'a'$",
+                 id="eval-vocab-repeat"),
+    pytest.param(_eval_args("good.ckpt", "unk.vocab"), cli.EXIT_INPUT,
+                 r"^input error: \S*unk\.vocab: line 6: repeated token '<unk>'$",
+                 id="eval-vocab-repeat-special"),
+    pytest.param(_eval_args("good.ckpt", "latin.vocab"), cli.EXIT_INPUT,
+                 r"^input error: \S*latin\.vocab: not UTF-8 text \(invalid continuation byte\)$",
+                 id="eval-vocab-not-utf8"),
+    pytest.param(["train", "--corpus", "{d}/latin.txt", "--steps", "2",
+                  "--out-dir", "{d}/latin"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*latin\.txt: not UTF-8 text \(invalid continuation byte\)$",
+                 id="train-corpus-not-utf8"),
+    pytest.param(["experiment", "--experiment", "2", "--corpus-file", "{d}/latin.txt",
+                  *_TINY_EXPERIMENT],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*latin\.txt: not UTF-8 text \(invalid continuation byte\)$",
+                 id="experiment-corpus-not-utf8"),
+    pytest.param(["experiment", "--spec", "{d}/latin.spec"], cli.EXIT_INPUT,
+                 r"^input error: \S*latin\.spec: not UTF-8 text \(invalid continuation byte\)$",
+                 id="spec-not-utf8"),
+    pytest.param(["report", "--run-dir", "{d}/nojson"], cli.EXIT_INPUT,
+                 r"^input error: \S*nojson/report\.json: not JSON: ", id="report-not-json"),
+    pytest.param(["report", "--run-dir", "{d}/nogroups"], cli.EXIT_INPUT,
+                 r"^input error: \S*nogroups/report\.json: missing key 'groups'$",
+                 id="report-missing-key"),
+    pytest.param(["report", "--run-dir", "{d}/nofields"], cli.EXIT_INPUT,
+                 r"^input error: \S*nofields/report\.json: malformed report: .*'seeds'",
+                 id="report-missing-group-field"),
+    pytest.param(["report", "--run-dir", "{d}/listgroups"], cli.EXIT_INPUT,
+                 r"^input error: \S*listgroups/report\.json: malformed report: ",
+                 id="report-groups-not-object"),
 ])
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code

@@ -12,10 +12,9 @@ from langlab.numcore import (
     Tape,
     Tensor,
     _sigmoid,
-    finite_difference_check,
 )
-from refops import (add_bias, concat, dot, matmul, mul, reshape, scale, sigmoid, softmax,
-                    take, tanh)
+from refops import (add_bias, concat, dot, finite_difference_check, matmul, mul, reshape,
+                    scale, sigmoid, softmax, take, tanh, transpose)
 
 RNG = np.random.default_rng(7)
 
@@ -41,7 +40,7 @@ def test_softmax_rows_sum_to_one():
 
 def test_matmul_identity():
     a = RNG.normal(size=(3, 5))
-    out = Tape().matmul(Tensor(np.eye(3)), Tensor(a))
+    out = matmul(Tape(), Tensor(np.eye(3)), Tensor(a))
     assert np.array_equal(out.data, a)
 
 
@@ -186,9 +185,9 @@ def test_fd_scale():
 
 def test_fd_matmul_2d():
     b = rand(4, 3)
-    fd(lambda t, x: dot(t, t.matmul(x, b), t.matmul(x, b)), rand(2, 4))
+    fd(lambda t, x: dot(t, matmul(t, x, b), matmul(t, x, b)), rand(2, 4))
     a = rand(2, 4)
-    fd(lambda t, x: dot(t, t.matmul(a, x), t.matmul(a, x)), rand(4, 3))
+    fd(lambda t, x: dot(t, matmul(t, a, x), matmul(t, a, x)), rand(4, 3))
 
 
 def test_fd_matmul_batched():
@@ -197,7 +196,7 @@ def test_fd_matmul_batched():
 
 
 def test_fd_transpose():
-    fd(lambda t, x: dot(t, t.transpose(x), t.transpose(x)), rand(3, 5))
+    fd(lambda t, x: dot(t, transpose(t, x), transpose(t, x)), rand(3, 5))
 
 
 def test_fd_reshape():
@@ -336,7 +335,7 @@ def _per_head_attention(t, q, k, v, heads):
     outs = []
     for hd in range(heads):
         qh, kh, vh = (take(t, x, np.s_[..., hd * dh:(hd + 1) * dh]) for x in (q, k, v))
-        scores = scale(t, matmul(t, qh, t.transpose(kh)), 1.0 / np.sqrt(dh))
+        scores = scale(t, matmul(t, qh, transpose(t, kh)), 1.0 / np.sqrt(dh))
         outs.append(matmul(t, softmax(t, t.add(scores, mask)), vh))
     return concat(t, outs, axis=2)
 
@@ -453,7 +452,7 @@ def _per_step_lstm(t, x, wx, wh, b):
     outs = []
     for step in range(seq):
         xs = take(t, x, np.s_[:, step])
-        z = add_bias(t, t.add(t.matmul(xs, wx), t.matmul(h, wh)), b)
+        z = add_bias(t, t.add(matmul(t, xs, wx), matmul(t, h, wh)), b)
         gi, gf, go = (sigmoid(t, take(t, z, np.s_[:, k * n:(k + 1) * n])) for k in (0, 1, 3))
         gg = tanh(t, take(t, z, np.s_[:, 2 * n:3 * n]))
         c = t.add(mul(t, gf, c), mul(t, gi, gg))
@@ -592,6 +591,42 @@ def test_linear_shape_errors():
             Tape().linear(*bad)
 
 
+@st.composite
+def unembed_case(draw):
+    """(x, table, loss weights) with rows 1-6, dim 1-5 and vocab 1-7."""
+    n, d, vocab = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return tuple(Tensor(rng.normal(size=s)) for s in ((n, d), (vocab, d), (n, vocab)))
+
+
+@pytest.mark.parametrize("which", range(2), ids=("x", "table"))
+@given(case=unembed_case())
+@settings(max_examples=20, deadline=None)
+def test_fd_unembed(which, case):
+    *args, w = case
+
+    def f(t, v):
+        probe = list(args)
+        probe[which] = v
+        return dot(t, t.unembed(*probe), w)
+
+    err = fd_scaled(f, args[which])
+    assert err < 1e-7, f"finite-difference error {err:.3e}"
+
+
+def test_unembed_shape_errors():
+    def zeros(*shape):
+        return Tensor(np.zeros(shape))
+
+    x, table = zeros(3, 4), zeros(7, 4)
+    assert Tape().unembed(x, table).shape == (3, 7)
+    for bad in ((zeros(3, 5), table), (x, zeros(4, 7)), (zeros(2, 3, 4), table),
+                (x, zeros(7, 4, 1)), (zeros(4), table)):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"unembed: x {bad[0].shape} vs table {bad[1].shape}")):
+            Tape().unembed(*bad)
+
+
 def _grads_of(op, data, weights):
     """Output and input gradients of sum(op(*inputs) * weights); the weights
     reach op's backward bit for bit (1.0 * w)."""
@@ -642,11 +677,18 @@ def test_linear_bit_identical_to_matmul_add_bias(lead):
     g = RNG.normal(size=lead + (32,))
 
     def unfused(t, x, w, b):
-        y = add_bias(t, t.matmul(reshape(t, x, (24, 16)), w), b)
+        y = add_bias(t, matmul(t, reshape(t, x, (24, 16)), w), b)
         return reshape(t, y, lead + (32,))
 
     _assert_same_bytes(_grads_of(Tape.linear, [x, w, b], g),
                        _grads_of(unfused, [x, w, b], g))
+
+
+def test_unembed_bit_identical_to_matmul_of_transpose():
+    rng = np.random.default_rng(19)  # own generator: RNG's draws stay as they were
+    x, table, g = (rng.normal(size=s) for s in ((24, 16), (40, 16), (24, 40)))
+    _assert_same_bytes(_grads_of(Tape.unembed, [x, table], g),
+                       _grads_of(lambda t, x, e: matmul(t, x, transpose(t, e)), [x, table], g))
 
 
 def test_cross_entropy_grad_bit_identical_to_unbuffered_formula():
@@ -693,7 +735,7 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
         Tape().add(rand(2, 3), rand(3, 2))
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        Tape().matmul(rand(2, 3), rand(2, 2))
+        Tape().unembed(rand(2, 3), rand(2, 2))
     with pytest.raises(ShapeError):
         Tape().layer_norm(rand(2, 3), rand(4), rand(3))
 

@@ -1,0 +1,42 @@
+"""The package carries no code that only the tests reach."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "langlab"
+
+# perfbench's parity_inverts check calls it on a corpus read back from disk;
+# the product transforms corpora but never inverts one
+ALLOWED = {"transforms.invert_parity_negation"}
+
+
+def _is_all(stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def _names(stmt) -> set[str]:
+    """Every name, attribute and imported name the statement mentions."""
+    return {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+            else n.name for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_public_name_is_reached_by_product_code():
+    """Each public top-level function and class of src/langlab/*.py is
+    referenced by a statement of some module other than its own definition:
+    by another module, or by another definition of its own module, as
+    default_grammar uses pluralize.  __init__ and the __all__ lists do not
+    count, so a name that only the tests call fails here."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+    statements = [(stmt, _names(stmt)) for tree in trees.values()
+                  for stmt in tree.body if not _is_all(stmt)]
+    unreached = [
+        f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(stmt is not node and node.name in names for stmt, names in statements)
+    ]
+    assert sorted(set(unreached) - ALLOWED) == []
+    assert ALLOWED <= set(unreached)  # an entry that product code reaches goes

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langlab.corpusio import InputError, read_corpus, write_corpus
+from langlab.corpusio import InputError, normalize_line, read_corpus, write_corpus
 from langlab.grammar import Sentence
 from langlab.transforms import (
     NOT_TOKEN,
@@ -10,9 +10,6 @@ from langlab.transforms import (
     TransformKind,
     apply_transform,
     invert_parity_negation,
-    normalize_line,
-    render_display,
-    transform_corpus,
     transform_file,
 )
 
@@ -45,15 +42,6 @@ def test_parity_even_prepends():
 def test_parity_odd_appends():
     out = apply_transform(TransformKind.PARITY_NEGATION, sent("the girl is given cats"))
     assert out.text == "the girl is given cats NOT"
-
-
-def test_render_display_matches_surface_forms():
-    rev = apply_transform(TransformKind.REVERSE, sent("the workers are using phones"))
-    assert render_display(rev) == "Phones using are workers the"
-    par = apply_transform(
-        TransformKind.PARITY_NEGATION, sent("the horse has enjoyed the school")
-    )
-    assert render_display(par) == "NOT The horse has enjoyed the school"
 
 
 def test_identity_returns_same_sentence():
@@ -140,23 +128,6 @@ def test_transforms_on_generated_corpus(small_corpus):
 
 
 # ------------------------------------------------------------------ corpora
-
-
-def test_transform_corpus_line_count(small_corpus):
-    out = list(transform_corpus(TransformKind.REVERSE, small_corpus))
-    assert len(out) == len(small_corpus)
-
-
-def test_transform_corpus_round_trip(small_corpus):
-    once = transform_corpus(TransformKind.REVERSE, small_corpus)
-    twice = list(transform_corpus(TransformKind.REVERSE, once))
-    assert [s.words for s in twice] == [s.words for s in small_corpus]
-
-
-def test_transform_corpus_error_carries_line_number():
-    sentences = [sent("the girl runs"), Sentence(("ok", NOT_TOKEN))]
-    with pytest.raises(TransformError, match="line 2: reserved token present"):
-        list(transform_corpus(TransformKind.REVERSE, sentences))
 
 
 def test_transform_file_round_trip(tmp_path, small_corpus):
