@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -46,10 +47,10 @@ def normalize_line(line: str) -> str:
 
 
 def iter_corpus(path: str | Path,
-                normalize: bool = False) -> Iterator[tuple[int, Sentence]]:
-    """Stream (1-based file line number, sentence) pairs from a corpus file,
+                normalize: bool = False) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Stream (1-based file line number, words) pairs from a corpus file,
     skipping blank lines; with ``normalize``, each line goes through
-    normalize_line first."""
+    normalize_line first.  Every word is a new string."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, 1):
@@ -62,10 +63,20 @@ def iter_corpus(path: str | Path,
                         c = next(c for c in line if not c.isprintable())
                         kind = "whitespace" if c.isspace() else "unprintable character"
                         raise InputError(f"{path}: line {line_no}: {kind} U+{ord(c):04X} inside a word")
-                    yield line_no, Sentence(words)
+                    yield line_no, words
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from exc
 
 
 def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
-    return [s for _, s in iter_corpus(path, normalize)]
+    """The sentences of iter_corpus, sharing one string per distinct word of
+    the file, so a corpus kept in memory holds its vocabulary once."""
+    share = {}.setdefault
+    enabled = gc.isenabled()
+    gc.disable()  # the list holds only new acyclic objects: nothing to collect
+    try:
+        return [Sentence(tuple(map(share, words, words)))
+                for _, words in iter_corpus(path, normalize)]
+    finally:
+        if enabled:
+            gc.enable()

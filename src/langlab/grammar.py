@@ -7,6 +7,7 @@ generation, not encoded in the rules, so the rule set stays a pure CFG.
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,10 +110,6 @@ class Sentence:
     """An ordered sequence of lowercase word tokens, free of punctuation."""
 
     words: tuple[str, ...]
-
-    @classmethod
-    def from_text(cls, text: str) -> "Sentence":
-        return cls(tuple(text.split()))
 
     @property
     def text(self) -> str:
@@ -256,27 +253,36 @@ def _expander(grammar: Grammar, config: GenerationConfig | None):
     """Compile the grammar, with the config's limits, into ``expand(rng)``.
 
     Candidates are tabulated once per corpus: the limited rule indices of
-    every nonterminal, and of each agreeing auxiliary per subject number.
-    ``expand`` walks the derivation iteratively in preorder and makes one
-    ``rng.randrange`` per expanded nonterminal, single candidates included.
+    every nonterminal, and of each agreeing auxiliary per subject number,
+    each with its count ``n`` and ``k = n.bit_length()``.  ``expand`` walks
+    the derivation iteratively in preorder and draws one index per expanded
+    nonterminal, single candidates included, as ``rng.randrange(n)`` does:
+    ``rng.getrandbits(k)`` until the draw is below ``n``, so the RNG stream
+    is the same.  A nonterminal or subject number without candidates is
+    left out of the table: reaching it raises KeyError, where the draw
+    would never end.
     """
     limits = _choice_limit(grammar, config)
     rules = grammar.rules
-    choices = {sym: grammar.rules_for(sym)[: limits.get(sym)]
-               for sym in grammar.nonterminals}
+
+    def drawn(candidates):  # what the inlined randrange(len(candidates)) needs
+        return candidates, len(candidates), len(candidates).bit_length()
+
+    choices = {sym: drawn(grammar.rules_for(sym)[: limits.get(sym)])
+               for sym in grammar.nonterminals if grammar.rules_for(sym)}
     for sym in ("AuxBePres", "AuxBePast", "AuxHave"):
-        limited = choices.get(sym, ())
-        if limited:  # agreeing candidates, keyed by subject number
-            choices[sym] = {number: tuple(
-                i for i in limited if _AUX_NUMBER[rules[i].rhs[0]] == number)
-                for number in ("", "sing", "pl")}
+        if sym in choices:  # agreeing candidates, keyed by subject number
+            agreeing = {number: tuple(i for i in choices[sym][0]
+                                      if _AUX_NUMBER[rules[i].rhs[0]] == number)
+                        for number in ("sing", "pl")}
+            choices[sym] = {number: drawn(c) for number, c in agreeing.items() if c}
     reversed_rhs = [rule.rhs[::-1] for rule in rules]
     subject_number = {i: "sing" if rules[i].rhs == ("NP_sing",) else "pl"
                       for i in grammar.rules_for("NP")}
     terminals, start = grammar.terminals, grammar.start
 
     def expand(rng: random.Random) -> Sentence:
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         words: list[str] = []
         number = ""  # set by the subject NP, the only NP expanded
         stack = [start]
@@ -285,10 +291,14 @@ def _expander(grammar: Grammar, config: GenerationConfig | None):
             if symbol in terminals:
                 words.append(symbol)
                 continue
-            candidates = choices[symbol]
-            if type(candidates) is dict:
-                candidates = candidates[number]
-            index = candidates[randrange(len(candidates))]
+            entry = choices[symbol]
+            if type(entry) is dict:
+                entry = entry[number]
+            candidates, n, k = entry
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            index = candidates[r]
             if symbol == "NP":
                 number = subject_number[index]
             stack.extend(reversed_rhs[index])
@@ -303,4 +313,10 @@ def generate_corpus(grammar: Grammar, config: GenerationConfig) -> list[Sentence
         raise ValueError(f"count must be non-negative, got {config.count}")
     expand = _expander(grammar, config)  # validates the sizes up front
     rng = random.Random(config.seed)
-    return [expand(rng) for _ in range(config.count)]
+    enabled = gc.isenabled()
+    gc.disable()  # the list holds only new acyclic objects: nothing to collect
+    try:
+        return [expand(rng) for _ in range(config.count)]
+    finally:
+        if enabled:
+            gc.enable()

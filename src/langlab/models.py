@@ -261,7 +261,14 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         return struct.unpack("<I", take(4))[0]
 
     def read_str():
-        return str(take(read_u32()), "utf-8")
+        data = take(read_u32())
+        try:
+            return str(data, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: not UTF-8 at byte offset {pos - len(data) + exc.start} "
+                f"({exc.reason})"
+            ) from exc
 
     arch = read_str()
     if arch not in _CONFIG_TYPES:

@@ -77,9 +77,9 @@ def transform_file(
     A failure names the file and its 1-based line, blank lines included."""
     written = 0
     with open(out_path, "w", encoding="utf-8", newline="\n") as dst:
-        for line_no, sentence in iter_corpus(in_path, normalize):
+        for line_no, words in iter_corpus(in_path, normalize):
             try:
-                words = _transform_words(kind, sentence.words)
+                words = _transform_words(kind, words)
             except TransformError as exc:
                 raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
             dst.write(" ".join(words) + "\n")

@@ -1,0 +1,8 @@
+"""The one sentence constructor the tests share."""
+
+from langlab.grammar import Sentence
+
+
+def sent(text: str) -> Sentence:
+    """The sentence of a whitespace-separated text."""
+    return Sentence(tuple(text.split()))

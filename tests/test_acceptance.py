@@ -13,7 +13,7 @@ import pytest
 
 from langlab import models, tokenizer, training
 from langlab.corpusio import read_corpus
-from langlab.grammar import GenerationConfig, Sentence, default_grammar, generate_corpus
+from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
 from langlab.harness import ExperimentSpec, run_experiment
 from langlab.numcore import Tape, Tensor
 from langlab.stats import format_p, student_t_sf, welch_t_test
@@ -26,6 +26,7 @@ from langlab.transforms import (
 )
 
 from refops import dot, finite_difference_check
+from sentences import sent
 from test_stats import quadrature_two_sided_p
 
 
@@ -84,14 +85,14 @@ def test_criterion_1_transform_property_suite(corpus_10k):
 
 def test_criterion_2_example_sentence_fidelity():
     rev = apply_transform(
-        TransformKind.REVERSE, Sentence.from_text("the workers are using phones")
+        TransformKind.REVERSE, sent("the workers are using phones")
     )
     par_even = apply_transform(
         TransformKind.PARITY_NEGATION,
-        Sentence.from_text("the horse has enjoyed the school"),
+        sent("the horse has enjoyed the school"),
     )
     par_odd = apply_transform(
-        TransformKind.PARITY_NEGATION, Sentence.from_text("the girl is given cats")
+        TransformKind.PARITY_NEGATION, sent("the girl is given cats")
     )
     assert rev.text == "phones using are workers the"
     assert par_even.text == "NOT the horse has enjoyed the school"

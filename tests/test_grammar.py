@@ -256,6 +256,15 @@ def test_negative_count_rejected(grammar):
         generate_corpus(grammar, GenerationConfig(count=-1, seed=1))
 
 
+def test_nonterminal_without_rules_raises_instead_of_drawing_forever():
+    # randrange(0) raises; a draw of getrandbits(0) until it is below 0 would not end
+    grammar = Grammar(frozenset({"S", "X"}), frozenset({"a"}),
+                      (RewriteRule("S", ("a", "X")),), "S")
+    grammar.validate()
+    with pytest.raises(KeyError, match="X"):
+        generate_corpus(grammar, GenerationConfig(count=1, seed=1))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1))
 def test_any_seed_generates_derivable(grammar, seed):

@@ -2,13 +2,14 @@ import dataclasses
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import pytest
 
 from langlab import cli
 from langlab.corpusio import read_corpus, write_corpus
-from langlab.grammar import GenerationConfig, Sentence, default_grammar, generate_corpus
+from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
 from langlab.harness import (
     ConfigError,
     ExperimentSpec,
@@ -26,6 +27,7 @@ from langlab.models import LstmConfig, TransformerConfig, init_model, save_check
 from langlab.tokenizer import build_vocabulary, save_vocabulary
 from langlab.training import MetricSeries, TrainingConfig
 from langlab.transforms import NOT_TOKEN
+from sentences import sent
 
 
 def tiny_spec(out_dir, **overrides):
@@ -399,6 +401,7 @@ def bad_inputs(tmp_path_factory):
     blob = ckpt.read_bytes()
     (d / "truncated.ckpt").write_bytes(blob[:-5])
     (d / "doubled.ckpt").write_bytes(blob + blob)
+    (d / "latin.ckpt").write_bytes(struct.pack("<I", 3) + b"\xff\xfe\xfd")
     save_checkpoint(init_model(TransformerConfig(layers=1, model_dim=4, heads=1, ff_dim=4,
                                                  max_seq=16, vocab=8)), d / "t16.ckpt")
     (d / "long.txt").write_text("a b\n\n" + " ".join(["a b c d d"] * 5) + "\n")
@@ -407,9 +410,9 @@ def bad_inputs(tmp_path_factory):
     (d / "tab.txt").write_text("the girl runs\nthe boy\truns\n")
     (d / "nbsp.txt").write_text("the girl runs\nthe boy\u00a0runs\n", encoding="utf-8")
     # good.ckpt has vocab 8: one vocabulary smaller, one (from c.txt) larger
-    save_vocabulary(build_vocabulary([Sentence.from_text("the")]), d / "small.vocab")
+    save_vocabulary(build_vocabulary([sent("the")]), d / "small.vocab")
     save_vocabulary(build_vocabulary(read_corpus(d / "c.txt")), d / "big.vocab")
-    save_vocabulary(build_vocabulary([Sentence.from_text("a b c d")]), d / "eight.vocab")
+    save_vocabulary(build_vocabulary([sent("a b c d")]), d / "eight.vocab")
     (d / "headless.vocab").write_text("a\nb\nc\nd\n")
     # 9 lines, 8 distinct tokens: with the repeat dropped each would fit good.ckpt
     (d / "repeat.vocab").write_text("<pad>\n<bos>\n<eos>\n<unk>\na\nb\na\nc\nd\n")
@@ -468,6 +471,9 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
     pytest.param(_eval_args("doubled.ckpt"), cli.EXIT_INPUT,
                  r"doubled\.ckpt: \d+ trailing bytes .* byte offset \d+",
                  id="trailing-bytes-ckpt"),
+    pytest.param(_eval_args("latin.ckpt"), cli.EXIT_INPUT,
+                 r"^input error: \S*latin\.ckpt: not UTF-8 at byte offset 4 "
+                 r"\(invalid start byte\)$", id="eval-ckpt-not-utf8"),
     pytest.param(_eval_args("good.ckpt", "small.vocab"), cli.EXIT_INPUT,
                  r"small\.vocab has 5 tokens but checkpoint \S*good\.ckpt was "
                  r"trained on 8$", id="eval-smaller-vocab"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from langlab.models import (
+    CheckpointError,
     LstmConfig,
     TransformerConfig,
     forward,
@@ -339,4 +340,18 @@ def test_checkpoint_rejects_unknown_arch(tmp_path):
     body = struct.pack("<I", 3) + b"foo" + struct.pack("<I", 0) + struct.pack("<I", 0)
     path.write_bytes(body)
     with pytest.raises(ValueError, match="unknown architecture"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("body, offset, reason", [
+    pytest.param(struct.pack("<I", 3) + b"\xff\xfe\xfd", 4, "invalid start byte",
+                 id="tag"),
+    pytest.param(struct.pack("<I", 4) + b"lstm" + struct.pack("<II", 1, 3) + b"a\xe9b",
+                 17, "invalid continuation byte", id="config-key"),
+])
+def test_checkpoint_rejects_non_utf8_string(tmp_path, body, offset, reason):
+    path = tmp_path / "latin.ckpt"
+    path.write_bytes(body)
+    with pytest.raises(CheckpointError,
+                       match=rf"latin\.ckpt: not UTF-8 at byte offset {offset} \({reason}\)$"):
         load_checkpoint(path)

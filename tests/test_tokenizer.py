@@ -20,10 +20,8 @@ from langlab.tokenizer import (
     save_vocabulary,
 )
 from langlab.transforms import TransformKind, apply_transform
+from sentences import sent
 
-
-def sent(text):
-    return Sentence.from_text(text)
 
 
 def decoded(vocab, s):

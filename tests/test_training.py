@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from langlab import tokenizer
-from langlab.grammar import Sentence
 from langlab.models import LstmConfig, TransformerConfig, init_model
 from langlab.numcore import Tape
 from langlab.training import (
@@ -15,6 +14,7 @@ from langlab.training import (
     lr_schedule,
     train,
 )
+from sentences import sent
 
 
 def encode_corpus(sentences):
@@ -260,7 +260,7 @@ def test_uniform_model_perplexity_equals_vocab(tiny_setup):
 
 
 def test_memorizer_perplexity_approaches_one():
-    sentence = Sentence.from_text("the girl is given cats")
+    sentence = sent("the girl is given cats")
     vocab, encoded = encode_corpus([sentence] * 8)
     cfg = TransformerConfig(layers=1, model_dim=32, heads=2, ff_dim=64,
                             max_seq=16, vocab=len(vocab), seed=1)

@@ -1,9 +1,11 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langlab.corpusio import InputError, normalize_line, read_corpus, write_corpus
-from langlab.grammar import Sentence
+from langlab.grammar import GenerationConfig, Sentence, generate_corpus
 from langlab.transforms import (
     NOT_TOKEN,
     TransformError,
@@ -12,6 +14,7 @@ from langlab.transforms import (
     invert_parity_negation,
     transform_file,
 )
+from sentences import sent
 
 words_strategy = st.lists(
     st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=8),
@@ -19,9 +22,6 @@ words_strategy = st.lists(
     max_size=12,
 ).map(tuple)
 
-
-def sent(text):
-    return Sentence.from_text(text)
 
 
 # --------------------------------------------------------- example sentences
@@ -185,6 +185,44 @@ def test_corpus_file_format(tmp_path, small_corpus):
         assert line.strip() == line
     assert [s.words for s in read_corpus(path)] == \
         [s.words for s in small_corpus[:10]]
+
+
+@pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+def test_read_corpus_holds_one_string_per_distinct_word(tmp_path, small_corpus, normalize):
+    path = tmp_path / "c.txt"
+    write_corpus(path, small_corpus)
+    back = read_corpus(path, normalize)
+    words = [w for s in back for w in s.words]
+    assert len({id(w) for w in words}) == len(set(words)) < len(words)
+    assert back == small_corpus
+    assert [s.words for s in back] == [s.words for s in small_corpus]
+
+
+def test_read_corpus_shares_normalized_words(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("The girl runs.\nthe GIRL runs\n")
+    first, second = read_corpus(path, normalize=True)
+    assert first == second == sent("the girl runs")
+    assert all(a is b for a, b in zip(first.words, second.words))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_corpus_builders_restore_the_callers_gc_state(tmp_path, grammar, enabled):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("the girl runs\nthe boy runs\n")
+    bad.write_text("the girl runs\n\nthe cat  sat\n")
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(generate_corpus(grammar, GenerationConfig(count=20, seed=1))) == 20
+        assert gc.isenabled() is enabled
+        assert len(read_corpus(good)) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(InputError, match=r"bad\.txt: line 3: empty word"):
+            read_corpus(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_normalize_line():
