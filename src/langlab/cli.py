@@ -48,7 +48,7 @@ def _encode_corpus(path: str, vocab: tokenizer.Vocabulary | None = None):
         raise harness.InputError(f"corpus is empty: {path}")
     if vocab is None:
         vocab = tokenizer.build_vocabulary(sentences)
-    return vocab, [tokenizer.encode(vocab, s) for s in sentences]
+    return vocab, tokenizer.encode_corpus(vocab, sentences)
 
 
 def _cmd_train(args) -> int:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import gc
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .grammar import Sentence
+from .grammar import Sentence, gc_paused
 
 __all__ = ["InputError", "write_corpus", "read_corpus", "iter_corpus",
            "normalize_line", "read_text"]
@@ -72,11 +71,6 @@ def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
     """The sentences of iter_corpus, sharing one string per distinct word of
     the file, so a corpus kept in memory holds its vocabulary once."""
     share = {}.setdefault
-    enabled = gc.isenabled()
-    gc.disable()  # the list holds only new acyclic objects: nothing to collect
-    try:
+    with gc_paused():
         return [Sentence(tuple(map(share, words, words)))
                 for _, words in iter_corpus(path, normalize)]
-    finally:
-        if enabled:
-            gc.enable()

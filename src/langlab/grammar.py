@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -313,10 +314,19 @@ def generate_corpus(grammar: Grammar, config: GenerationConfig) -> list[Sentence
         raise ValueError(f"count must be non-negative, got {config.count}")
     expand = _expander(grammar, config)  # validates the sizes up front
     rng = random.Random(config.seed)
-    enabled = gc.isenabled()
-    gc.disable()  # the list holds only new acyclic objects: nothing to collect
-    try:
+    with gc_paused():
         return [expand(rng) for _ in range(config.count)]
+
+
+@contextmanager
+def gc_paused():
+    """Cyclic GC off inside, then as the caller had it: for the corpus
+    builders, whose lists hold only new acyclic objects, so a collection
+    would find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
         if enabled:
             gc.enable()

@@ -278,8 +278,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 
         vocab = tokenizer.build_vocabulary(train_sents)
         tokenizer.save_vocabulary(vocab, out / "vocab" / f"{group}.vocab")
-        enc_train = [tokenizer.encode(vocab, s) for s in train_sents]
-        enc_held = [tokenizer.encode(vocab, s) for s in held_sents]
+        enc_train = tokenizer.encode_corpus(vocab, train_sents)
+        enc_held = tokenizer.encode_corpus(vocab, held_sents)
 
         result = GroupResult(
             group=group, seeds=list(spec.seeds), metrics_csv=[],

@@ -82,72 +82,66 @@ class ModelParameters:
     tensors: dict[str, Tensor]
 
 
-def _init_transformer(cfg: TransformerConfig) -> ModelParameters:
+def _param_shapes(cfg: TransformerConfig | LstmConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, in init order, of a config it validates."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    p: dict[str, Tensor] = {}
-
-    def normal(shape):
-        return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
-
+    if isinstance(cfg, LstmConfig):
+        h, in_dim = cfg.hidden_dim, cfg.embed_dim
+        shapes = {"embed": (cfg.vocab, in_dim)}
+        for i in range(cfg.layers):
+            shapes.update({f"l{i}.wx": (in_dim, 4 * h), f"l{i}.wh": (h, 4 * h),
+                           f"l{i}.b": (4 * h,)})
+            in_dim = h
+        return shapes | {"out.w": (h, cfg.vocab), "out.b": (cfg.vocab,)}
     d, f = cfg.model_dim, cfg.ff_dim
-    p["tok_emb"] = normal((cfg.vocab, d))
-    p["pos_emb"] = normal((cfg.max_seq, d))
+    shapes = {"tok_emb": (cfg.vocab, d), "pos_emb": (cfg.max_seq, d)}
     for i in range(cfg.layers):
         pre = f"l{i}."
-        p[pre + "ln1.g"] = ones((d,))
-        p[pre + "ln1.b"] = zeros((d,))
-        for name in ("wq", "wk", "wv", "wo"):
-            p[pre + "attn." + name] = normal((d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            p[pre + "attn." + name] = zeros((d,))
-        p[pre + "ln2.g"] = ones((d,))
-        p[pre + "ln2.b"] = zeros((d,))
-        p[pre + "ff.w1"] = normal((d, f))
-        p[pre + "ff.b1"] = zeros((f,))
-        p[pre + "ff.w2"] = normal((f, d))
-        p[pre + "ff.b2"] = zeros((d,))
-    p["ln_f.g"] = ones((d,))
-    p["ln_f.b"] = zeros((d,))
-    return ModelParameters("transformer", cfg, p)
+        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
+        shapes.update({pre + "attn." + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({pre + "attn." + name: (d,) for name in ("bq", "bk", "bv", "bo")})
+        shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
+                       pre + "ff.w1": (d, f), pre + "ff.b1": (f,),
+                       pre + "ff.w2": (f, d), pre + "ff.b2": (d,)})
+    return shapes | {"ln_f.g": (d,), "ln_f.b": (d,)}
 
 
-def _init_lstm(cfg: LstmConfig) -> ModelParameters:
-    cfg.validate()
+def _init_transformer(cfg: TransformerConfig) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(cfg.seed)
+    p = {}
+    for name, shape in _param_shapes(cfg).items():
+        kind = name.rsplit(".", 1)[-1]  # g: layer-norm gain, b...: a bias
+        p[name] = (np.ones(shape) if kind == "g" else np.zeros(shape) if kind[0] == "b"
+                   else rng.normal(0.0, 0.02, shape))
+    return p
+
+
+def _init_lstm(cfg: LstmConfig) -> dict[str, np.ndarray]:
+    shapes = _param_shapes(cfg)
     rng = np.random.default_rng(cfg.seed)
     h = cfg.hidden_dim
     bound = 1.0 / np.sqrt(h)
-
-    def uniform(shape):
-        return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
-
-    p: dict[str, Tensor] = {"embed": uniform((cfg.vocab, cfg.embed_dim))}
-    in_dim = cfg.embed_dim
-    for i in range(cfg.layers):
-        p[f"l{i}.wx"] = uniform((in_dim, 4 * h))
-        p[f"l{i}.wh"] = uniform((h, 4 * h))
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0  # forget gate starts open
-        p[f"l{i}.b"] = Tensor(bias, requires_grad=True)
-        in_dim = h
-    p["out.w"] = uniform((h, cfg.vocab))
-    p["out.b"] = Tensor(np.zeros(cfg.vocab), requires_grad=True)
-    return ModelParameters("lstm", cfg, p)
+    p = {}
+    for name, shape in shapes.items():
+        if name.endswith(".b"):
+            p[name] = np.zeros(shape)
+            if name != "out.b":
+                p[name][h:2 * h] = 1.0  # forget gate starts open
+        else:
+            p[name] = rng.uniform(-bound, bound, shape)
+    return p
 
 
 def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
     """Seed-deterministic parameter initialization for either family."""
     if isinstance(config, TransformerConfig):
-        return _init_transformer(config)
-    if isinstance(config, LstmConfig):
-        return _init_lstm(config)
-    raise TypeError(f"unsupported config type: {type(config).__name__}")
+        arch, arrays = "transformer", _init_transformer(config)
+    elif isinstance(config, LstmConfig):
+        arch, arrays = "lstm", _init_lstm(config)
+    else:
+        raise TypeError(f"unsupported config type: {type(config).__name__}")
+    return ModelParameters(arch, config, {name: Tensor(a, requires_grad=True)
+                                          for name, a in arrays.items()})
 
 
 def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
@@ -274,29 +268,50 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     if arch not in _CONFIG_TYPES:
         raise CheckpointError(f"{path}: unknown architecture tag {arch!r}")
     cfg_cls = _CONFIG_TYPES[arch]
-    raw = dict((read_str(), read_str()) for _ in range(read_u32()))
-    config = cfg_cls(**{f.name: _convert(raw[f.name], f.type)
-                        for f in fields(cfg_cls) if f.name in raw})
+    raw = {}
+    for _ in range(read_u32()):
+        key = read_str()
+        if key in raw:
+            raise CheckpointError(f"{path}: config {key}: repeated")
+        raw[key] = read_str()
+    values = {}
+    for f in fields(cfg_cls):
+        value = raw.pop(f.name, None)
+        if value is None:
+            raise CheckpointError(f"{path}: config {f.name}: missing")
+        try:  # every config field is an int
+            values[f.name] = int(value)
+        except ValueError:
+            raise CheckpointError(
+                f"{path}: config {f.name}: {value!r} does not parse as int") from None
+    if raw:
+        raise CheckpointError(
+            f"{path}: config {next(iter(raw))}: not a key of the {arch} config")
+    config = cfg_cls(**values)
+    try:
+        shapes = _param_shapes(config)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: config: {exc}") from None
     tensors: dict[str, Tensor] = {}
     for _ in range(read_u32()):
         name = read_str()
         rank = read_u32()
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
-        count = math.prod(dims)
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims)
+        if name not in shapes or name in tensors:
+            what = "repeated" if name in tensors else f"not a tensor of this {arch} config"
+            raise CheckpointError(f"{path}: tensor {name}: {what}")
+        if dims != shapes[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name}: shape {dims}, the config needs {shapes[name]}")
+        data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
         tensors[name] = Tensor(data.copy(), requires_grad=True)
     if pos != len(blob):
         raise CheckpointError(
             f"{path}: {len(blob) - pos} trailing bytes after the last tensor, "
             f"from byte offset {pos}"
         )
+    missing = [name for name in shapes if name not in tensors]
+    if missing:
+        raise CheckpointError(f"{path}: tensor {missing[0]}: missing")
     return ModelParameters(arch, config, tensors)
 
-
-def _convert(value: str, annotation) -> object:
-    text = str(annotation)
-    if "int" in text:
-        return int(value)
-    if "float" in text:
-        return float(value)
-    return value

@@ -1,10 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-A Tape records every differentiable op it executes; Tape.backward walks the
-record in reverse, accumulating gradients into every tensor on the path that
-requires them.  Tensors are written once by their producing op and treated as
-immutable afterwards; independent Tapes are independent, so separate threads
-may each run their own.
+A Tape records every differentiable op it executes; Tape.backward consumes
+the record in reverse, accumulating gradients into every tensor on the path
+that requires them.  It drops each op's record, with the arrays its backward
+saved, and the gradient of the op's output as soon as that op's rule has run,
+so only leaf tensors (ones no op of the tape produced: parameters, inputs)
+keep .grad, and a tape serves one backward.  Tensors are written once by their
+producing op and treated as immutable afterwards; independent Tapes are
+independent, so separate threads may each run their own.
 
 The Tape has the nine ops that the two language models run, each emitting
 one tape record: add, gelu, linear (x @ w + b over the last axis of x),
@@ -15,10 +18,16 @@ causal_attention and lstm_layer are fused, with hand-written backwards.
 causal_attention and lstm_layer take padding-free packed rows: one row per
 kept position, batch-major, the kept positions of each sequence a prefix of
 it, named by a [batch, seq] mask.
+
+Freeing saved arrays mid-step would make glibc hand every buffer of 128 KB or
+more back to the OS and fault it in again on its next use, so on import the
+module fixes malloc's mmap threshold at 32 MiB and its trim threshold at
+256 MiB, for the whole process; where libc has no mallopt, nothing changes.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable
 
@@ -31,6 +40,20 @@ MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
 
 class ShapeError(ValueError):
     pass
+
+
+def _fix_heap_thresholds() -> None:
+    """Freed arrays of a training step stay in the heap for the next one."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in this libc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
+_fix_heap_thresholds()
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -79,7 +102,7 @@ class Tape:
 
     def __init__(self, record: bool = True):
         self.record = record
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] | None = []
 
     # ------------------------------------------------------------------ core
 
@@ -92,16 +115,24 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad tensor reachable from loss."""
+        """Populate .grad for every requires_grad leaf tensor reachable from
+        loss, consuming the tape: each record is popped, run and dropped, and
+        the output of every recorded op is left with .grad None.  The tape
+        records nothing more, and a second backward raises ValueError."""
+        if self._records is None:
+            raise ValueError("backward: this tape was consumed by an earlier backward")
         if loss.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        for out, inputs, _ in self._records:
+        records, self._records, self.record = self._records, None, False
+        for out, inputs, _ in records:
             out.grad = None
             for t in inputs:
                 t.grad = None
         loss.grad = np.ones(())
-        for out, inputs, bwd in reversed(self._records):
-            g = out.grad
+        while records:
+            # rebinding drops the previous record, its closure and saved arrays
+            out, inputs, bwd = records.pop()
+            g, out.grad = out.grad, None
             if g is None:
                 continue
             for t, gi in zip(inputs, bwd(g)):

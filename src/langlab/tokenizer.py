@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpusio import InputError, read_text
-from .grammar import Sentence
+from .grammar import Sentence, gc_paused
 
 __all__ = [
     "PAD_ID",
@@ -26,6 +26,7 @@ __all__ = [
     "EncodedSequence",
     "build_vocabulary",
     "encode",
+    "encode_corpus",
     "save_vocabulary",
     "load_vocabulary",
 ]
@@ -80,6 +81,12 @@ def build_vocabulary(sentences: Iterable[Sentence]) -> Vocabulary:
 def encode(vocab: Vocabulary, s: Sentence) -> EncodedSequence:
     return EncodedSequence(
         (BOS_ID, *map(vocab.word_to_id.get, s.words, repeat(UNK_ID)), EOS_ID))
+
+
+def encode_corpus(vocab: Vocabulary, sentences: Iterable[Sentence]) -> list[EncodedSequence]:
+    """encode of every sentence, with cyclic GC paused as read_corpus does."""
+    with gc_paused():
+        return [encode(vocab, s) for s in sentences]
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

@@ -402,6 +402,16 @@ def bad_inputs(tmp_path_factory):
     (d / "truncated.ckpt").write_bytes(blob[:-5])
     (d / "doubled.ckpt").write_bytes(blob + blob)
     (d / "latin.ckpt").write_bytes(struct.pack("<I", 3) + b"\xff\xfe\xfd")
+    hidden = struct.pack("<I", 10) + b"hidden_dim" + struct.pack("<I", 1)
+    assert blob.count(hidden + b"4") == 1
+    (d / "abc.ckpt").write_bytes(blob.replace(hidden + b"4", hidden[:-4]
+                                              + struct.pack("<I", 3) + b"abc"))
+    for name, edit in (("missing", lambda t: t.pop("out.b")),
+                       ("extra", lambda t: t.update({"l1.wx": t["l0.wx"]})),
+                       ("shape", lambda t: t.update({"l0.wh": t["out.w"]}))):
+        params = init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8))
+        edit(params.tensors)
+        save_checkpoint(params, d / f"{name}.ckpt")
     save_checkpoint(init_model(TransformerConfig(layers=1, model_dim=4, heads=1, ff_dim=4,
                                                  max_seq=16, vocab=8)), d / "t16.ckpt")
     (d / "long.txt").write_text("a b\n\n" + " ".join(["a b c d d"] * 5) + "\n")
@@ -474,6 +484,18 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
     pytest.param(_eval_args("latin.ckpt"), cli.EXIT_INPUT,
                  r"^input error: \S*latin\.ckpt: not UTF-8 at byte offset 4 "
                  r"\(invalid start byte\)$", id="eval-ckpt-not-utf8"),
+    pytest.param(_eval_args("abc.ckpt"), cli.EXIT_INPUT,
+                 r"^input error: \S*abc\.ckpt: config hidden_dim: 'abc' does not parse "
+                 r"as int$", id="eval-ckpt-config-value"),
+    pytest.param(_eval_args("missing.ckpt"), cli.EXIT_INPUT,
+                 r"^input error: \S*missing\.ckpt: tensor out\.b: missing$",
+                 id="eval-ckpt-missing-tensor"),
+    pytest.param(_eval_args("extra.ckpt"), cli.EXIT_INPUT,
+                 r"^input error: \S*extra\.ckpt: tensor l1\.wx: not a tensor of this "
+                 r"lstm config$", id="eval-ckpt-extra-tensor"),
+    pytest.param(_eval_args("shape.ckpt"), cli.EXIT_INPUT,
+                 r"^input error: \S*shape\.ckpt: tensor l0\.wh: shape \(4, 8\), the "
+                 r"config needs \(4, 16\)$", id="eval-ckpt-tensor-shape"),
     pytest.param(_eval_args("good.ckpt", "small.vocab"), cli.EXIT_INPUT,
                  r"small\.vocab has 5 tokens but checkpoint \S*good\.ckpt was "
                  r"trained on 8$", id="eval-smaller-vocab"),

@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import struct
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from langlab.models import (
     CheckpointError,
     LstmConfig,
+    ModelParameters,
     TransformerConfig,
     forward,
     init_model,
@@ -200,6 +203,27 @@ def test_packed_gradients_match_ignore_id_path(arch_cfg):
         assert np.all(np.abs(grads[1][name] - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
 
+def test_backward_peak_memory_stays_near_the_forward_tape():
+    """Backward frees each op's saved arrays and gradients once it has used
+    them: during backward of one transformer step of the experiment shape
+    (64 sentences of 10 positions) the traced peak stays within 1.3x of the
+    memory held after forward (it reaches 1.6x when nothing is freed)."""
+    params = init_model(TransformerConfig(seed=1))
+    ids = np.random.default_rng(0).integers(4, 128, size=(64, 11))
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        logits = forward(params, ids[:, :-1], tape, np.full(64, 10))
+        loss = tape.cross_entropy(logits, ids[:, 1:].ravel())
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * held, f"peak {peak} bytes, {peak / held:.2f}x the {held} after forward"
+
+
 @pytest.mark.parametrize("arch_cfg", [TINY_T, TINY_L], ids=["transformer", "lstm"])
 def test_lengths_shape_and_range_checked(arch_cfg):
     params = init_model(arch_cfg)
@@ -354,4 +378,50 @@ def test_checkpoint_rejects_non_utf8_string(tmp_path, body, offset, reason):
     path.write_bytes(body)
     with pytest.raises(CheckpointError,
                        match=rf"latin\.ckpt: not UTF-8 at byte offset {offset} \({reason}\)$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_invalid_config_and_repeated_tensor(tmp_path):
+    bad = TransformerConfig(layers=1, model_dim=4, heads=3, ff_dim=4, max_seq=4, vocab=8)
+    path = tmp_path / "heads.ckpt"
+    save_checkpoint(ModelParameters("transformer", bad, {}), path)
+    with pytest.raises(CheckpointError,
+                       match=r"heads\.ckpt: config: model_dim 4 not divisible by heads 3$"):
+        load_checkpoint(path)
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(init_model(TINY_L), path)
+    blob = path.read_bytes()
+    first, last = (blob.index(struct.pack("<I", 5) + name) for name in (b"embed", b"out.b"))
+    (count,) = struct.unpack_from("<I", blob, first - 4)
+    path.write_bytes(blob[:first - 4] + struct.pack("<I", count + 1) + blob[first:]
+                     + blob[last:])
+    with pytest.raises(CheckpointError, match=r"twice\.ckpt: tensor out\.b: repeated$"):
+        load_checkpoint(path)
+
+
+@dataclass(frozen=True)
+class _LstmConfigPlus(LstmConfig):
+    colour: int = 1
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param(_LstmConfigPlus(), "config colour: not a key of the lstm config", id="unknown"),
+    pytest.param(TransformerConfig(), "config hidden_dim: missing", id="missing"),
+])
+def test_checkpoint_config_keys_are_the_configs_fields(tmp_path, config, message):
+    path = tmp_path / "keys.ckpt"
+    save_checkpoint(ModelParameters("lstm", config, {}), path)
+    with pytest.raises(CheckpointError, match=rf"keys\.ckpt: {message}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_repeated_config_key(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(init_model(TINY_L), path)
+    blob = path.read_bytes()
+    at = 8 + len("lstm")  # the first config pair, after the tag and the pair count
+    (count,) = struct.unpack_from("<I", blob, at - 4)
+    pair = b"".join(struct.pack("<I", len(t)) + t for t in (b"vocab", b"16"))
+    path.write_bytes(blob[:at - 4] + struct.pack("<I", count + 1) + pair + blob[at:])
+    with pytest.raises(CheckpointError, match=r"twice\.ckpt: config vocab: repeated$"):
         load_checkpoint(path)

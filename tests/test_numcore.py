@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from langlab import numcore
 from langlab.numcore import (
     MASK_FILL,
     ShapeError,
@@ -140,6 +141,33 @@ def test_gradient_accumulates_over_reuse():
     x = Tensor(np.array(3.0), requires_grad=True)
     tape.backward(tape.add(x, x))
     assert x.grad == pytest.approx(2.0)
+
+
+def test_backward_leaves_grad_on_leaves_only():
+    tape = Tape()
+    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    y = tape.gelu(x)
+    loss = dot(tape, y, w)
+    tape.backward(loss)
+    assert x.grad is not None and w.grad is not None
+    assert y.grad is None and loss.grad is None
+
+
+def test_backward_consumes_the_tape():
+    tape = Tape()
+    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    loss = dot(tape, tape.gelu(x), Tensor(np.ones((3, 4))))
+    tape.backward(loss)
+    grad = x.grad
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        tape.backward(loss)
+    assert x.grad is grad
+
+
+def test_docstrings_say_only_leaves_keep_grad():
+    assert "only leaf tensors" in " ".join(numcore.__doc__.split())
+    assert "leaf tensor" in " ".join(Tape.backward.__doc__.split())
 
 
 # ------------------------------------------------- finite-difference checks

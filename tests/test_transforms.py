@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from langlab.corpusio import InputError, normalize_line, read_corpus, write_corpus
 from langlab.grammar import GenerationConfig, Sentence, generate_corpus
+from langlab.tokenizer import build_vocabulary, encode, encode_corpus
 from langlab.transforms import (
     NOT_TOKEN,
     TransformError,
@@ -216,7 +217,14 @@ def test_corpus_builders_restore_the_callers_gc_state(tmp_path, grammar, enabled
     try:
         assert len(generate_corpus(grammar, GenerationConfig(count=20, seed=1))) == 20
         assert gc.isenabled() is enabled
-        assert len(read_corpus(good)) == 2
+        sentences = read_corpus(good)
+        assert len(sentences) == 2
+        assert gc.isenabled() is enabled
+        vocab = build_vocabulary(sentences)
+        assert encode_corpus(vocab, sentences) == [encode(vocab, s) for s in sentences]
+        assert gc.isenabled() is enabled
+        with pytest.raises(AttributeError):
+            encode_corpus(vocab, [None])
         assert gc.isenabled() is enabled
         with pytest.raises(InputError, match=r"bad\.txt: line 3: empty word"):
             read_corpus(bad)
