@@ -297,7 +297,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
                                        run_dir, group)
             held_eval = training.evaluate_perplexity(params, enc_held,
                                                      cfg.batch_size)
-            del params  # it holds its last gradients; free it before the next run
+            del params  # weights only (train leaves no .grad): free before the next run
             series_list.append(series)
             result.metrics_csv.append(str(run_dir.relative_to(out) / "metrics.csv"))
             result.final_loss.append(series.records[-1].loss)

@@ -39,7 +39,8 @@ __all__ = [
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that does not match the binary layout."""
+    """A checkpoint file that does not match the binary layout or its config,
+    or that holds NaN or inf."""
 
 
 @dataclass(frozen=True)
@@ -304,6 +305,8 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
             raise CheckpointError(
                 f"{path}: tensor {name}: shape {dims}, the config needs {shapes[name]}")
         data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name}: holds NaN or inf")
         tensors[name] = Tensor(data.copy(), requires_grad=True)
     if pos != len(blob):
         raise CheckpointError(

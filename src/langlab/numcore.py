@@ -2,12 +2,14 @@
 
 A Tape records every differentiable op it executes; Tape.backward consumes
 the record in reverse, accumulating gradients into every tensor on the path
-that requires them.  It drops each op's record, with the arrays its backward
-saved, and the gradient of the op's output as soon as that op's rule has run,
-so only leaf tensors (ones no op of the tape produced: parameters, inputs)
-keep .grad, and a tape serves one backward.  Tensors are written once by their
-producing op and treated as immutable afterwards; independent Tapes are
-independent, so separate threads may each run their own.
+that requires them.  A record holds a gradient slot for the op's output, not
+the output itself, so an output's data lives only as long as its caller or a
+backward rule that saved it.  Backward drops each op's record, with the arrays
+its rule saved, and the gradient in the output's slot as soon as that rule has
+run, so only leaf tensors (ones no op of the tape produced: parameters,
+inputs) keep .grad, and a tape serves one backward.  Tensors are written once
+by their producing op and treated as immutable afterwards; independent Tapes
+are independent, so separate threads may each run their own.
 
 The Tape has the nine ops that the two language models run, each emitting
 one tape record: add, gelu, linear (x @ w + b over the last axis of x),
@@ -76,13 +78,24 @@ def _prefix_keep(keep, rows: int, what: str) -> np.ndarray:
     return keep
 
 
+class _Node:
+    """The gradient slot of a recorded op output, held by the tape records
+    in place of the output tensor, so the tape keeps no op output's data."""
+    __slots__ = ("grad",)
+    requires_grad = True
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._node: _Node | None = None  # set by the Tape that records this output
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,7 +115,8 @@ class Tape:
 
     def __init__(self, record: bool = True):
         self.record = record
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] | None = []
+        # (output's node, input nodes or leaf tensors, backward rule)
+        self._records: list[tuple[_Node, tuple[_Node | Tensor, ...], _BackwardFn]] | None = []
 
     # ------------------------------------------------------------------ core
 
@@ -111,28 +125,30 @@ class Tape:
         out = Tensor(out_data)
         if self.record and any(t.requires_grad for t in inputs):
             out.requires_grad = True
-            self._records.append((out, inputs, bwd))
+            out._node = _Node()
+            self._records.append((out._node, tuple(t._node or t for t in inputs), bwd))
         return out
 
     def backward(self, loss: Tensor) -> None:
         """Populate .grad for every requires_grad leaf tensor reachable from
-        loss, consuming the tape: each record is popped, run and dropped, and
-        the output of every recorded op is left with .grad None.  The tape
-        records nothing more, and a second backward raises ValueError."""
+        loss, consuming the tape: each record is popped, run and dropped.  The
+        records hold gradient slots, not op outputs, so an output's data
+        lives only as long as its caller or a rule that saved it, and only
+        leaf tensors get .grad.  The tape records nothing more, and a second
+        backward raises ValueError."""
         if self._records is None:
             raise ValueError("backward: this tape was consumed by an earlier backward")
         if loss.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         records, self._records, self.record = self._records, None, False
-        for out, inputs, _ in records:
-            out.grad = None
+        for _, inputs, _ in records:
             for t in inputs:
                 t.grad = None
-        loss.grad = np.ones(())
+        (loss._node or loss).grad = np.ones(())
         while records:
             # rebinding drops the previous record, its closure and saved arrays
-            out, inputs, bwd = records.pop()
-            g, out.grad = out.grad, None
+            node, inputs, bwd = records.pop()
+            g, node.grad = node.grad, None
             if g is None:
                 continue
             for t, gi in zip(inputs, bwd(g)):
@@ -327,7 +343,9 @@ class Tape:
 
         def bwd(gout):
             gt = gout[rows]
-            dz = np.empty_like(acts)
+            # the gate gradients overwrite the activations step by step: every
+            # operand of a gate's gradient is read before its block is written
+            dz = acts
             dh, dc = np.zeros((2, len(keep), n))  # a row that stops starts at 0
             for t in reversed(range(len(bounds) - 1)):
                 lo, hi = bounds[t], bounds[t + 1]
@@ -337,10 +355,12 @@ class Tape:
                 d += gt[lo:hi]
                 c += d * o * (1.0 - tc * tc)
                 np.multiply(d * tc * o, 1.0 - o, out=do)
-                np.multiply(c * g * i, 1.0 - i, out=di)
-                np.multiply(c * before(t, hi - lo, cs) * f, 1.0 - f, out=df)
+                cgi = c * g * i
                 np.multiply(c * i, 1.0 - g * g, out=dg)
+                np.multiply(cgi, 1.0 - i, out=di)
+                cf = c * before(t, hi - lo, cs) * f
                 c *= f
+                np.multiply(cf, 1.0 - f, out=df)
                 if t:
                     np.matmul(dz[lo:hi], wh.data.T, out=d)
             first = counts[:1].sum()  # dwh: each row of steps t >= 1 by its h_{t-1}

@@ -105,8 +105,9 @@ class MetricSeries:
 
 
 class DivergenceError(FloatingPointError):
-    """A training loss too large for its perplexity to be finite; ``series``
-    holds the metrics logged before the failing step."""
+    """A training loss too large for its perplexity to be finite; the message
+    names the first parameter, in init order, that holds NaN or inf, and
+    ``series`` holds the metrics logged before the failing step."""
 
     def __init__(self, message: str, series: MetricSeries):
         super().__init__(message)
@@ -233,17 +234,21 @@ def train(
         tape = Tape()
         logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))
         loss = tape.cross_entropy(logits, batch[:, 1:][keep])
+        del logits  # backward frees them with the loss record
         loss_value = float(loss.data)
         if not loss_value < _MAX_LOSS:
+            bad = [n for n, t in params.tensors.items() if not np.isfinite(t.data).all()]
             raise DivergenceError(
                 f"training diverged at step {step} (group {group!r}, "
-                f"seed {config.seed}): loss {loss_value!r}", series
+                f"seed {config.seed}): loss {loss_value!r}"
+                + (f"; parameter {bad[0]} holds NaN or inf" if bad else ""), series
             )
         tape.backward(loss)
-        grads = {name: t.grad for name, t in params.tensors.items()
-                 if t.grad is not None}
         lr = lr_schedule(step, config)
-        optimizer.step(params, grads, step, lr)
+        optimizer.step(params, {name: t.grad for name, t in params.tensors.items()},
+                       step, lr)
+        for t in params.tensors.values():
+            t.grad = None  # this step's gradients die with it
         if step % config.eval_every == 0:
             series.append(step, loss_value, lr)
     return series, params

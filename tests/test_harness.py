@@ -412,6 +412,9 @@ def bad_inputs(tmp_path_factory):
         params = init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8))
         edit(params.tensors)
         save_checkpoint(params, d / f"{name}.ckpt")
+    params = init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8))
+    params.tensors["l0.wh"].data[1, 2] = math.nan
+    save_checkpoint(params, d / "nonfinite.ckpt")
     save_checkpoint(init_model(TransformerConfig(layers=1, model_dim=4, heads=1, ff_dim=4,
                                                  max_seq=16, vocab=8)), d / "t16.ckpt")
     (d / "long.txt").write_text("a b\n\n" + " ".join(["a b c d d"] * 5) + "\n")
@@ -496,6 +499,9 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
     pytest.param(_eval_args("shape.ckpt"), cli.EXIT_INPUT,
                  r"^input error: \S*shape\.ckpt: tensor l0\.wh: shape \(4, 8\), the "
                  r"config needs \(4, 16\)$", id="eval-ckpt-tensor-shape"),
+    pytest.param(_eval_args("nonfinite.ckpt", "eight.vocab"), cli.EXIT_INPUT,
+                 r"^input error: \S*nonfinite\.ckpt: tensor l0\.wh: holds NaN or inf$",
+                 id="eval-ckpt-nonfinite"),
     pytest.param(_eval_args("good.ckpt", "small.vocab"), cli.EXIT_INPUT,
                  r"small\.vocab has 5 tokens but checkpoint \S*good\.ckpt was "
                  r"trained on 8$", id="eval-smaller-vocab"),

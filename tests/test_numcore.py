@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -163,6 +164,51 @@ def test_backward_consumes_the_tape():
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
         tape.backward(loss)
     assert x.grad is grad
+
+
+def _refs(a):
+    """Weak references to an array and to the array it is a view of."""
+    return [weakref.ref(a)] + ([weakref.ref(a.base)] if a.base is not None else [])
+
+
+def test_tape_keeps_no_op_output_a_rule_did_not_save():
+    """Records hold gradient slots, not outputs: before backward, an add
+    output (no rule saves it) dies with the caller's reference, and so does a
+    linear output that goes only to causal_attention (which saves its own
+    padded copies); backward still reaches the leaves through the slots."""
+    tape = Tape()
+    x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
+    b = Tensor(RNG.normal(size=4), requires_grad=True)
+    s = tape.add(x, x)
+    dead = _refs(s.data)
+    q = tape.linear(tape.add(s, x), w, b)
+    dead += _refs(q.data)
+    y = tape.causal_attention(q, tape.linear(x, w, b), x, 2, np.ones((2, 3), dtype=bool))
+    del s, q
+    assert [r() is None for r in dead] == [True] * len(dead)
+    tape.backward(dot(tape, y, Tensor(np.ones((6, 4)))))
+    assert x.grad is not None and w.grad is not None and b.grad is not None
+
+
+def test_saved_input_lives_until_backward_pops_its_record():
+    """gelu's rule saves its input array: it outlives the caller's reference
+    and dies when backward pops the gelu record, before the next rule runs."""
+    tape = Tape()
+    seen = []
+
+    def noting(t):  # identity op whose rule notes whether gelu's input is alive
+        return tape._emit(t.data.copy(), (t,),
+                          lambda g: (seen.append(ref() is not None), (g,))[1])
+
+    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    a = noting(x)  # its rule runs after gelu's
+    ref = weakref.ref(a.data)
+    y = noting(tape.gelu(a))  # its rule runs before gelu's
+    del a
+    assert ref() is not None
+    tape.backward(dot(tape, y, Tensor(np.ones((3, 4)))))
+    assert seen == [True, False] and x.grad is not None
 
 
 def test_docstrings_say_only_leaves_keep_grad():

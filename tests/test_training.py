@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from langlab import tokenizer
+from langlab import models, tokenizer
 from langlab.models import LstmConfig, TransformerConfig, init_model
 from langlab.numcore import Tape
 from langlab.training import (
     AdamOptimizer,
+    DivergenceError,
     MetricSeries,
     TrainingConfig,
     evaluate_perplexity,
+    _pad_batch,
     lr_schedule,
     train,
 )
@@ -217,6 +219,43 @@ def test_eval_every_thins_records(tiny_setup):
     series, _ = train(params, encoded,
                       TrainingConfig(total_steps=10, eval_every=5, seed=1))
     assert [r.step for r in series.records] == [5, 10]
+
+
+def test_train_leaves_no_gradients_and_the_same_series(tiny_setup):
+    """train moves each step's gradients off the parameters: none holds .grad
+    afterwards, and the series and weights match, byte for byte, a loop that
+    leaves them on the parameters."""
+    vocab, encoded, cfg = tiny_setup
+    config = TrainingConfig(total_steps=5, batch_size=16, seed=3)
+    series, params = train(init_model(cfg), encoded, config)
+    assert [n for n, t in params.tensors.items() if t.grad is not None] == []
+
+    ref, rng, opt, losses = init_model(cfg), np.random.default_rng(3), AdamOptimizer(), []
+    order = rng.permutation(len(encoded))
+    for step in range(1, 6):
+        batch = _pad_batch([encoded[i].ids for i in order[(step - 1) * 16:step * 16]])
+        keep = batch[:, 1:] != tokenizer.PAD_ID
+        tape = Tape()
+        logits = models.forward(ref, batch[:, :-1], tape, keep.sum(1))
+        loss = tape.cross_entropy(logits, batch[:, 1:][keep])
+        tape.backward(loss)
+        opt.step(ref, {n: t.grad for n, t in ref.tensors.items()}, step,
+                 lr_schedule(step, config))
+        losses.append(float(loss.data))
+    assert [r.loss for r in series.records] == losses
+    for name, t in params.tensors.items():
+        assert t.data.tobytes() == ref.tensors[name].data.tobytes()
+
+
+def test_divergence_names_the_first_nonfinite_parameter(tiny_setup):
+    vocab, encoded, cfg = tiny_setup
+    params = init_model(cfg)
+    params.tensors["ln_f.g"].data[0] = np.inf
+    params.tensors["l0.ff.w2"].data[3, 1] = np.nan
+    with pytest.raises(DivergenceError, match=r"^training diverged at step 1 .*: loss nan; "
+                       r"parameter l0\.ff\.w2 holds NaN or inf$") as info:
+        train(params, encoded, TrainingConfig(total_steps=2, seed=1))
+    assert info.value.series.records == []
 
 
 def test_vocab_mismatch_rejected(tiny_setup):
