@@ -41,7 +41,6 @@ from .training import (  # noqa: F401
 )
 from .stats import (  # noqa: F401
     TTestResult,
-    cohen_d,
     stabilized_window,
     student_t_sf,
     welch_t_test,

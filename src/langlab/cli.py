@@ -23,11 +23,10 @@ EXIT_RUNTIME = 4
 
 
 def _cmd_generate(args) -> int:
-    grammar = default_grammar()
-    config = GenerationConfig(count=args.count, seed=args.seed,
-                              nouns=args.nouns, verbs=args.verbs,
-                              modals=args.modals)
-    sentences = generate_corpus(grammar, config)
+    config = GenerationConfig(count=args.count, seed=args.seed)
+    with harness.config_errors():
+        config.validate()
+    sentences = generate_corpus(default_grammar(), config)
     corpusio.write_corpus(args.out, sentences)
     print(f"wrote {len(sentences)} sentences to {args.out}")
     return EXIT_OK
@@ -105,6 +104,8 @@ def _read_series(path: str) -> training.MetricSeries:
 
 
 def _cmd_stats(args) -> int:
+    with harness.config_errors():  # the fraction's own check, before any file is read
+        stats.stabilized_start(1, args.start_fraction)
     a = stats.stabilized_window(_read_series(args.a), args.start_fraction,
                                 args.metric)
     b = stats.stabilized_window(_read_series(args.b), args.start_fraction,
@@ -117,6 +118,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_experiment(args) -> int:
     overrides = {
+        "experiment": args.experiment,
         "out_dir": args.out_dir,
         "arch": args.arch,
         "groups": args.groups,
@@ -126,13 +128,7 @@ def _cmd_experiment(args) -> int:
         "corpus_file": args.corpus_file,
         "corpus_seed": args.seed,
     }
-    if args.spec:
-        spec = harness.parse_spec_file(args.spec, overrides)
-    else:
-        pairs = {k: str(v) for k, v in overrides.items() if v is not None}
-        if args.experiment:
-            pairs["experiment"] = args.experiment
-        spec = harness.build_spec(pairs)
+    spec = harness.parse_spec_file(args.spec, overrides)
     report = harness.run_experiment(spec)
     print(harness.render_text_report(report))
     print(f"full report in {spec.out_dir}/report.json")
@@ -158,10 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a seeded SVO corpus")
     p.add_argument("--count", type=int, default=10000)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--nouns", type=int, default=None,
-                   help="use only the first N nouns")
-    p.add_argument("--verbs", type=int, default=None)
-    p.add_argument("--modals", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -210,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="run a full experiment (generate, transform, train, test, report)",
         description="Configuration comes from a key = value spec file "
-        "(see README for the schema); flags override file values.",
+        "(see README for the schema); flags, --experiment too, override file "
+        "values.",
     )
     p.add_argument("--spec", help="path to spec file")
     p.add_argument("--experiment", choices=("1", "2", "3", "4", "custom"),

@@ -142,28 +142,19 @@ class Grammar:
                     raise ValueError(f"unknown symbol {sym!r} in rule {rule}")
 
     def rules_for(self, symbol: str) -> tuple[int, ...]:
-        return self._rule_index().get(symbol, ())
-
-    def _rule_index(self) -> dict[str, tuple[int, ...]]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            index: dict[str, list[int]] = {}
-            for i, rule in enumerate(self.rules):
-                index.setdefault(rule.lhs, []).append(i)
-            cached = {k: tuple(v) for k, v in index.items()}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return tuple(i for i, rule in enumerate(self.rules) if rule.lhs == symbol)
 
 
 @dataclass(frozen=True)
 class GenerationConfig:
-    """Corpus size, seed, and how much of each word list to use (None = all)."""
+    """Corpus size and seed."""
 
     count: int
     seed: int
-    nouns: int | None = None
-    verbs: int | None = None
-    modals: int | None = None
+
+    def validate(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"count must be non-negative, got {self.count}")
 
 
 def default_grammar() -> Grammar:
@@ -227,34 +218,11 @@ def default_grammar() -> Grammar:
     return grammar
 
 
-def _choice_limit(grammar: Grammar, config: GenerationConfig | None) -> dict[str, int]:
-    """Per-category caps on how many lexical alternatives generation may use."""
-    if config is None:
-        return {}
-    limits: dict[str, int] = {}
-    for attr, symbols in (
-        ("nouns", ("N", "N_pl")),
-        ("verbs", ("V_base", "V_ing", "V_en")),
-        ("modals", ("M",)),
-    ):
-        size = getattr(config, attr)
-        if size is None:
-            continue
-        for sym in symbols:
-            available = len(grammar.rules_for(sym))
-            if not 0 < size <= available:
-                raise ValueError(
-                    f"{attr} size {size} must be in 1..{available} (available words)"
-                )
-            limits[sym] = size
-    return limits
+def _expander(grammar: Grammar):
+    """Compile the grammar into ``expand(rng)``.
 
-
-def _expander(grammar: Grammar, config: GenerationConfig | None):
-    """Compile the grammar, with the config's limits, into ``expand(rng)``.
-
-    Candidates are tabulated once per corpus: the limited rule indices of
-    every nonterminal, and of each agreeing auxiliary per subject number,
+    Candidates are tabulated once per corpus: the rule indices of every
+    nonterminal, and of each agreeing auxiliary per subject number,
     each with its count ``n`` and ``k = n.bit_length()``.  ``expand`` walks
     the derivation iteratively in preorder and draws one index per expanded
     nonterminal, single candidates included, as ``rng.randrange(n)`` does:
@@ -263,14 +231,13 @@ def _expander(grammar: Grammar, config: GenerationConfig | None):
     left out of the table: reaching it raises KeyError, where the draw
     would never end.
     """
-    limits = _choice_limit(grammar, config)
     rules = grammar.rules
 
     def drawn(candidates):  # what the inlined randrange(len(candidates)) needs
         return candidates, len(candidates), len(candidates).bit_length()
 
-    choices = {sym: drawn(grammar.rules_for(sym)[: limits.get(sym)])
-               for sym in grammar.nonterminals if grammar.rules_for(sym)}
+    choices = {sym: drawn(indices) for sym in grammar.nonterminals
+               if (indices := grammar.rules_for(sym))}
     for sym in ("AuxBePres", "AuxBePast", "AuxHave"):
         if sym in choices:  # agreeing candidates, keyed by subject number
             agreeing = {number: tuple(i for i in choices[sym][0]
@@ -310,9 +277,8 @@ def _expander(grammar: Grammar, config: GenerationConfig | None):
 
 def generate_corpus(grammar: Grammar, config: GenerationConfig) -> list[Sentence]:
     """Exactly config.count sentences, a pure function of (grammar, config)."""
-    if config.count < 0:
-        raise ValueError(f"count must be non-negative, got {config.count}")
-    expand = _expander(grammar, config)  # validates the sizes up front
+    config.validate()
+    expand = _expander(grammar)
     rng = random.Random(config.seed)
     with gc_paused():
         return [expand(rng) for _ in range(config.count)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .transforms import TransformKind, apply_transform
 
 __all__ = [
     "ConfigError",
+    "config_errors",
     "InputError",
     "ExperimentSpec",
     "GroupResult",
@@ -60,6 +62,16 @@ EXPERIMENT_PRESETS = {
 
 class ConfigError(ValueError):
     pass
+
+
+@contextmanager
+def config_errors():
+    """A ValueError raised inside, by a config's own check, leaves as a
+    ConfigError: the one place such a check becomes a configuration error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -108,10 +120,14 @@ class ExperimentSpec:
             raise ConfigError("stabilized_fraction must be in [0, 1)")
         if not 0.0 < self.heldout_fraction < 0.5:
             raise ConfigError("heldout_fraction must be in (0, 0.5)")
-        try:
-            self.training.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.corpus_seed < 0:
+            raise ConfigError(f"corpus_seed must be >= 0, got {self.corpus_seed}")
+        with config_errors():  # every config a run builds, before it writes a file
+            if self.corpus_source == "generated":
+                GenerationConfig(self.corpus_count, self.corpus_seed).validate()
+            for seed in self.seeds:
+                dataclasses.replace(self.training, seed=seed).validate()
+                model_config(self, 1, seed).validate()  # the corpus sets the vocab
         if len(self.groups) >= 2:
             # train() logs every eval_every-th step
             records = self.training.total_steps // self.training.eval_every
@@ -232,16 +248,10 @@ def train_run(spec: ExperimentSpec, vocab_size: int,
 
 
 def run_experiment(spec: ExperimentSpec) -> RunReport:
-    """Execute the full pipeline for every (group, seed); returns the report."""
+    """Execute the full pipeline for every (group, seed); returns the report.
+    The configuration checks and the base corpus come before anything is
+    written under out_dir; the report of an earlier run there is deleted then."""
     spec.validate()
-    out = Path(spec.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for sub in ("corpora", "vocab", "runs", "curves", "tables", "plots"):
-            (out / sub).mkdir(exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {out}: {exc}") from exc
-
     base = _load_base_corpus(spec)
     train_idx, held_idx = _split_indices(
         len(base), spec.heldout_fraction, spec.corpus_seed
@@ -265,6 +275,15 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
                     f"group {group}: model input width {width} exceeds max_seq "
                     f"{spec.max_seq}; raise max_seq"
                 )
+
+    out = Path(spec.out_dir)
+    try:
+        for sub in ("corpora", "vocab", "runs", "curves", "tables", "plots"):
+            (out / sub).mkdir(parents=True, exist_ok=True)
+        for name in ("report.json", "report.txt"):
+            (out / name).unlink(missing_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc}") from exc
 
     group_results: dict[str, GroupResult] = {}
     all_series: dict[str, list[MetricSeries]] = {}
@@ -510,12 +529,15 @@ _TRAIN_INT = {"total_steps", "batch_size", "eval_every"}
 _TRAIN_FLOAT = {"warmup_fraction", "peak_lr"}
 
 
-def parse_spec_file(path: str | Path, overrides: dict | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a key=value file plus override mapping."""
-    if not Path(path).is_file():
+def parse_spec_file(path: str | Path | None,
+                    overrides: dict | None = None) -> ExperimentSpec:
+    """Build an ExperimentSpec from a key=value file (None: no file) plus an
+    override mapping, whose None values override nothing."""
+    if path is not None and not Path(path).is_file():
         raise InputError(f"spec file not found: {path}")
     pairs: dict[str, str] = {}
-    for ln, raw in enumerate(corpusio.read_text(path).splitlines(), 1):
+    lines = corpusio.read_text(path).splitlines() if path is not None else []
+    for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

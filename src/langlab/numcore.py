@@ -38,6 +38,7 @@ import numpy as np
 __all__ = ["Tensor", "Tape", "ShapeError", "MASK_FILL"]
 
 MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
+_LN_EPS = 1e-5  # added to layer_norm's variance
 
 
 class ShapeError(ValueError):
@@ -370,8 +371,7 @@ class Tape:
 
         return self._emit(hs[back], (x, wx, wh, b), bwd)
 
-    def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor,
-                   eps: float = 1e-5) -> Tensor:
+    def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         k = a.shape[-1]
         if gain.shape != (k,) or bias.shape != (k,):
             raise ShapeError(
@@ -379,7 +379,7 @@ class Tape:
             )
         xhat = a.data - a.data.mean(axis=-1, keepdims=True)
         y = xhat * xhat
-        std = np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+        std = np.sqrt(y.mean(axis=-1, keepdims=True) + _LN_EPS)
         xhat /= std
         np.multiply(xhat, gain.data, out=y)
         y += bias.data

@@ -16,7 +16,6 @@ from .training import MetricSeries
 __all__ = [
     "TTestResult",
     "welch_t_test",
-    "cohen_d",
     "student_t_sf",
     "regularized_incomplete_beta",
     "stabilized_start",
@@ -105,20 +104,13 @@ def welch_t_test(a, b) -> TTestResult:
 
 
 def _cohen_from_stats(n1, m1, v1, n2, m2, v2) -> float:
+    """Cohen's d: the mean difference over the pooled standard deviation."""
     pooled = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
     if pooled == 0.0:
         if m1 == m2:
             return 0.0
         raise ValueError("zero pooled variance")
     return (m1 - m2) / math.sqrt(pooled)
-
-
-def cohen_d(a, b) -> float:
-    """Pooled-standard-deviation standardized mean difference."""
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("cohen_d: need at least 2 samples in each group")
-    _, m1, v1, m2, v2 = _scaled_mean_var(a, b)
-    return _cohen_from_stats(len(a), m1, v1, len(b), m2, v2)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

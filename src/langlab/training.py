@@ -49,8 +49,12 @@ class TrainingConfig:
             raise ValueError(
                 f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}"
             )
-        if self.peak_lr <= 0 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("peak_lr, batch_size, eval_every must be positive")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
+        if self.batch_size < 1 or self.eval_every < 1:
+            raise ValueError("batch_size, eval_every must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_every > self.total_steps:
             raise ValueError(
                 f"eval_every {self.eval_every} exceeds total_steps "
@@ -135,11 +139,14 @@ def lr_schedule(step: int, config: TrainingConfig) -> float:
     return config.peak_lr * (total - step) / (total - warmup_end)
 
 
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class AdamOptimizer:
     """Adam with bias correction and no weight decay."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
@@ -147,7 +154,7 @@ class AdamOptimizer:
              grads: dict[str, np.ndarray], step_num: int, lr: float) -> None:
         if step_num < 1:
             raise ValueError(f"step must be >= 1, got {step_num}")
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         for name, tensor in params.tensors.items():
             g = grads.get(name)
             if g is None:
@@ -176,7 +183,7 @@ class AdamOptimizer:
             a *= lr
             d = np.divide(v, 1 - b2 ** step_num)
             np.sqrt(d, out=d)
-            d += self.eps
+            d += _EPS
             a /= d
             # assignment (not in-place) so tensors referenced by old tapes
             # keep their values

@@ -232,25 +232,6 @@ def test_derives_rejects_garbage():
     assert oracle_parse("the girl is given".split()) is None
 
 
-def test_lexicon_size_limits(grammar):
-    config = GenerationConfig(count=30, seed=11, nouns=5, verbs=4, modals=2)
-    nouns5 = set(_NOUNS[:5]) | {_oracle_plural(n) for n in _NOUNS[:5]}
-    verb_forms = {w for v in _VERBS[:4] for w in v}
-    for s in generate_corpus(grammar, config):
-        content = [w for w in s.words
-                   if w not in ("the", "is", "are", "was", "were", "has",
-                                "have", "be", "been", "will", "can")]
-        for w in content:
-            assert w in nouns5 or w in verb_forms, s.text
-
-
-def test_lexicon_size_validation(grammar):
-    with pytest.raises(ValueError, match="modals"):
-        generate_corpus(grammar, GenerationConfig(count=1, seed=1, modals=6))
-    with pytest.raises(ValueError, match="nouns"):
-        generate_corpus(grammar, GenerationConfig(count=1, seed=1, nouns=0))
-
-
 def test_negative_count_rejected(grammar):
     with pytest.raises(ValueError, match="non-negative"):
         generate_corpus(grammar, GenerationConfig(count=-1, seed=1))
@@ -277,18 +258,14 @@ def test_any_seed_generates_derivable(grammar, seed):
 
 _REF_AUX_NUMBER = {"is": "sing", "are": "pl", "was": "sing", "were": "pl",
                    "has": "sing", "have": "pl"}
-_REF_LIMITED = {"nouns": ("N", "N_pl"), "verbs": ("V_base", "V_ing", "V_en"),
-                "modals": ("M",)}
 
 
-def _reference_expand(grammar, symbol, rng, limits, state, words):
+def _reference_expand(grammar, symbol, rng, state, words):
     """The recursive generator the compiled expander replaced."""
     if symbol in grammar.terminals:
         words.append(symbol)
         return
     candidates = grammar.rules_for(symbol)
-    if symbol in limits:
-        candidates = candidates[: limits[symbol]]
     if symbol in ("AuxBePres", "AuxBePast", "AuxHave"):
         number = state["number"]
         candidates = tuple(i for i in candidates
@@ -298,24 +275,19 @@ def _reference_expand(grammar, symbol, rng, limits, state, words):
     if symbol == "NP":
         state["number"] = "sing" if rule.rhs == ("NP_sing",) else "pl"
     for sym in rule.rhs:
-        _reference_expand(grammar, sym, rng, limits, state, words)
+        _reference_expand(grammar, sym, rng, state, words)
 
 
-def _reference_sentence(grammar, rng, config):
-    limits = {sym: getattr(config, attr) for attr, syms in _REF_LIMITED.items()
-              for sym in syms if getattr(config, attr) is not None}
+def _reference_sentence(grammar, rng):
     words = []
-    _reference_expand(grammar, grammar.start, rng, limits, {"number": ""}, words)
+    _reference_expand(grammar, grammar.start, rng, {"number": ""}, words)
     return tuple(words)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1),
-       nouns=st.none() | st.integers(1, 40), verbs=st.none() | st.integers(1, 30),
-       modals=st.none() | st.integers(1, 5))
-def test_expander_matches_recursive_reference(grammar, seed, nouns, verbs, modals):
-    config = GenerationConfig(count=60, seed=seed, nouns=nouns, verbs=verbs,
-                              modals=modals)
+@given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1))
+def test_expander_matches_recursive_reference(grammar, seed):
+    config = GenerationConfig(count=60, seed=seed)
     rng = random.Random(seed)
-    expected = [_reference_sentence(grammar, rng, config) for _ in range(config.count)]
+    expected = [_reference_sentence(grammar, rng) for _ in range(config.count)]
     assert [s.words for s in generate_corpus(grammar, config)] == expected

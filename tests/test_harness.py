@@ -6,8 +6,10 @@ import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from langlab import cli
+from langlab import cli, harness
 from langlab.corpusio import read_corpus, write_corpus
 from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
 from langlab.harness import (
@@ -19,13 +21,14 @@ from langlab.harness import (
     build_spec,
     linearity_gradient_summary,
     load_report,
+    model_config,
     parse_spec_file,
     render_text_report,
     run_experiment,
 )
 from langlab.models import LstmConfig, TransformerConfig, init_model, save_checkpoint
 from langlab.tokenizer import build_vocabulary, save_vocabulary
-from langlab.training import MetricSeries, TrainingConfig
+from langlab.training import MetricSeries, TrainingConfig, lr_schedule
 from langlab.transforms import NOT_TOKEN
 from sentences import sent
 
@@ -314,6 +317,30 @@ def test_build_spec_requires_valid_groups():
         build_spec({"groups": "reversed, parity-negation"})
 
 
+_NUMERIC_KEYS = sorted(harness._SPEC_INT | harness._SPEC_FLOAT | harness._TRAIN_INT
+                       | harness._TRAIN_FLOAT | {"seeds"})
+
+
+# Values stay small: a spec that builds is initialised, so no draw may ask for a
+# large array.
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.dictionaries(st.sampled_from(_NUMERIC_KEYS), st.one_of(
+           st.integers(-3, 9).map(str), st.sampled_from(["nan", "inf", "-inf", "0.25"])),
+       min_size=1),
+       arch=st.sampled_from(["transformer", "lstm"]))
+def test_numeric_spec_value_is_rejected_or_runs(pairs, arch):
+    """build_spec raises ConfigError, or every config the run builds from
+    the spec works: the models, the held-out split and the learning rate."""
+    try:
+        spec = build_spec({**pairs, "arch": arch})
+    except ConfigError:
+        return
+    for seed in spec.seeds:
+        init_model(model_config(spec, 8, seed))
+    harness._split_indices(10, spec.heldout_fraction, spec.corpus_seed)
+    assert math.isfinite(lr_schedule(1, spec.training))
+
+
 # ------------------------------------------------------------------------ CLI
 
 
@@ -369,6 +396,34 @@ def test_cli_experiment_and_report(tmp_path, capsys):
     assert cli.main(["report", "--run-dir", str(out), "--format", "json"]) == 0
 
 
+def _tiny_spec_file(path, *lines):
+    path.write_text("\n".join(["experiment = 1", "corpus_count = 60", "groups = natural",
+                               "seeds = 1", "total_steps = 4", "batch_size = 16", *lines])
+                    + "\n")
+    return str(path)
+
+
+def test_cli_experiment_flag_overrides_spec_file(tmp_path, capsys):
+    spec = _tiny_spec_file(tmp_path / "exp.spec")
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--spec", spec, "--experiment", "3",
+                     "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["experiment"], report["arch"]) == ("3", "lstm")
+
+
+def test_failed_rerun_leaves_no_earlier_report(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    good = _tiny_spec_file(tmp_path / "good.spec")
+    assert cli.main(["experiment", "--spec", good, "--out-dir", out]) == 0
+    assert cli.main(["report", "--run-dir", out]) == 0
+    bad = _tiny_spec_file(tmp_path / "bad.spec", "experiment = 3", "total_steps = 30",
+                          "peak_lr = 50")
+    assert cli.main(["experiment", "--spec", bad, "--out-dir", out]) == cli.EXIT_RUNTIME
+    assert "diverged" in capsys.readouterr().err
+    assert cli.main(["report", "--run-dir", out]) == cli.EXIT_INPUT
+
+
 def test_cli_error_codes(tmp_path, capsys):
     # input error: missing corpus file
     assert cli.main(["transform", "--kind", "reverse",
@@ -396,6 +451,7 @@ def bad_inputs(tmp_path_factory):
     (d / "unknown.spec").write_text("bogus_key = 1\n")
     (d / "short.spec").write_text("max_seq = 4\n")
     (d / "nine.spec").write_text("experiment = 1\nmax_seq = 9\n")
+    (d / "heads.spec").write_text("t_heads = 3\n")
     ckpt = d / "good.ckpt"
     save_checkpoint(init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8)), ckpt)
     blob = ckpt.read_bytes()
@@ -477,6 +533,36 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                   "--eval-every", "10", "--out-dir", "{d}/ev"],
                  cli.EXIT_CONFIG, r"eval_every 10 exceeds total_steps 4",
                  id="train-eval-every"),
+    pytest.param(["generate", "--count", "-5", "--out", "{d}/neg.txt"], cli.EXIT_CONFIG,
+                 r"^configuration error: count must be non-negative, got -5$",
+                 id="generate-negative-count"),
+    pytest.param(["train", "--corpus", "{d}/c.txt", "--seed", "-3", "--out-dir", "{d}/s-3"],
+                 cli.EXIT_CONFIG, r"^configuration error: seed must be >= 0, got -3$",
+                 id="train-negative-seed"),
+    pytest.param(["train", "--corpus", "{d}/c.txt", "--peak-lr", "nan",
+                  "--out-dir", "{d}/nan"],
+                 cli.EXIT_CONFIG,
+                 r"^configuration error: peak_lr must be positive and finite, got nan$",
+                 id="train-nan-lr"),
+    # absent metrics files: the fraction is checked before either is read
+    pytest.param(["stats", "--a", "{d}/absent.csv", "--b", "{d}/absent.csv",
+                  "--start-fraction", "1.5"],
+                 cli.EXIT_CONFIG, r"^configuration error: start_fraction must be in "
+                 r"\[0, 1\): 1\.5$", id="stats-start-fraction"),
+    pytest.param(["stats", "--a", "{d}/absent.csv", "--b", "{d}/absent.csv",
+                  "--start-fraction", "nan"],
+                 cli.EXIT_CONFIG, r"^configuration error: start_fraction must be in "
+                 r"\[0, 1\): nan$", id="stats-nan-start-fraction"),
+    pytest.param(["experiment", "--spec", "{d}/heads.spec", "--out-dir", "{d}/heads"],
+                 cli.EXIT_CONFIG,
+                 r"^configuration error: model_dim 64 not divisible by heads 3$",
+                 id="experiment-heads"),
+    pytest.param(["experiment", "--corpus-count", "-5", *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
+                 r"^configuration error: count must be non-negative, got -5$",
+                 id="experiment-negative-corpus-count"),
+    pytest.param(["experiment", "--seed", "-1", *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
+                 r"^configuration error: corpus_seed must be >= 0, got -1$",
+                 id="experiment-negative-corpus-seed"),
     pytest.param(["train", "--corpus", "{d}/absent.txt", "--out-dir", "{d}/t"],
                  cli.EXIT_INPUT, r"absent\.txt", id="missing-corpus"),
     pytest.param(_eval_args("truncated.ckpt"), cli.EXIT_INPUT,
@@ -589,10 +675,10 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code
     assert re.search(message, capsys.readouterr().err.strip())
-    if "--peak-lr" in argv:  # a diverging run keeps the metrics logged so far
+    if code == cli.EXIT_CONFIG:  # a configuration error writes nothing
+        for flag in ("--out", "--out-dir"):
+            if flag in argv:
+                assert not Path(argv[argv.index(flag) + 1].format(d=bad_inputs)).exists()
+    if "{d}/lr" in argv:  # a diverging run keeps the metrics logged so far
         lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
-    if "--eval-every" in argv:  # the config error comes before any training
-        assert not (bad_inputs / "ev" / "model.ckpt").exists()
-    if "{d}/nine.spec" in argv:  # every group is checked before any trains
-        assert not (bad_inputs / "nine" / "runs" / "natural" / "seed1").exists()

@@ -53,9 +53,7 @@ def test_layer_norm_against_scalar_oracle():
     mu = sum(row) / 3
     var = sum((v - mu) ** 2 for v in row) / 3
     expected = [(v - mu) / math.sqrt(var + eps) for v in row]
-    out = Tape().layer_norm(
-        Tensor([row]), Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=eps
-    )
+    out = Tape().layer_norm(Tensor([row]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
     assert np.all(np.abs(out.data[0] - np.array(expected)) < 1e-12)
 
 

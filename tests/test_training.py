@@ -81,6 +81,11 @@ def test_config_validation():
         TrainingConfig(warmup_fraction=1.0).validate()
     with pytest.raises(ValueError, match="eval_every 5 exceeds total_steps 4"):
         TrainingConfig(total_steps=4, eval_every=5).validate()
+    for lr in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="peak_lr must be positive and finite"):
+            TrainingConfig(peak_lr=lr).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainingConfig(seed=-1).validate()
     TrainingConfig(total_steps=4, eval_every=4).validate()
 
 
@@ -102,7 +107,7 @@ def test_adam_first_step_closed_form():
     before = {n: t.data.copy() for n, t in params.tensors.items()}
     grads = {n: np.full_like(t.data, 0.37) for n, t in params.tensors.items()}
     lr, eps = 0.01, 1e-8
-    AdamOptimizer(eps=eps).step(params, grads, 1, lr=lr)
+    AdamOptimizer().step(params, grads, 1, lr=lr)
     for n, t in params.tensors.items():
         update = t.data - before[n]
         expected = -lr * 0.37 / (0.37 + eps)
