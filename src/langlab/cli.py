@@ -51,19 +51,23 @@ def _encode_corpus(path: str, vocab: tokenizer.Vocabulary | None = None):
 
 
 def _cmd_train(args) -> int:
-    vocab, encoded = _encode_corpus(args.corpus)
     cfg = training.TrainingConfig(
         total_steps=args.steps, peak_lr=args.peak_lr, batch_size=args.batch_size,
         warmup_fraction=args.warmup_fraction, eval_every=args.eval_every,
         seed=args.seed,
     )
-    spec = harness.ExperimentSpec(
-        arch=args.arch, max_seq=max(max(e.length for e in encoded), 16),
-        groups=("natural",), seeds=(args.seed,), training=cfg,
-    )
-    spec.validate()
+    with harness.config_errors():  # the flags, before the corpus is read
+        cfg.validate()
+    vocab, encoded = _encode_corpus(args.corpus)
+    # the default model shapes, which are the experiment spec's
+    if args.arch == "transformer":
+        model_cfg = models.TransformerConfig(
+            max_seq=max(max(e.length for e in encoded), 16), vocab=len(vocab),
+            seed=args.seed)
+    else:
+        model_cfg = models.LstmConfig(vocab=len(vocab), seed=args.seed)
     out_dir = Path(args.out_dir)
-    series, _ = harness.train_run(spec, len(vocab), encoded, cfg, out_dir)
+    series, _ = harness.train_run(model_cfg, encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")
     last = series.records[-1]
     print(f"final step {last.step}: loss={last.loss:.4f} "

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .grammar import Sentence, gc_paused
 
+# write_lines stays out of __all__: perfbench times each __all__ function as
+# its module's work, and the lines it writes are its caller's work
 __all__ = ["InputError", "write_corpus", "read_corpus", "iter_corpus",
            "normalize_line", "read_text"]
 
@@ -29,11 +32,28 @@ def read_text(path: str | Path) -> str:
         raise _not_utf8(path, exc) from exc
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line and a "\\n" as UTF-8 to a temporary sibling, path's
+    name + ".tmp", which then replaces path: if writing or drawing a line
+    fails, the temporary file is removed and an existing path is left as it
+    was.  Returns the line count.  Every text artifact is written here."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    count = 0
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for count, line in enumerate(lines, 1):
+                fh.write(line)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
+
+
 def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in sentences:
-            fh.write(s.text)
-            fh.write("\n")
+    write_lines(path, (s.text for s in sentences))
 
 
 def normalize_line(line: str) -> str:

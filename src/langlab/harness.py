@@ -228,15 +228,15 @@ def model_config(spec: ExperimentSpec, vocab: int, seed: int):
     )
 
 
-def train_run(spec: ExperimentSpec, vocab_size: int,
+def train_run(model_cfg: models.TransformerConfig | models.LstmConfig,
               encoded: list[tokenizer.EncodedSequence], cfg: TrainingConfig,
               run_dir: Path, group: str = ""
               ) -> tuple[MetricSeries, models.ModelParameters]:
-    """Train a fresh spec.arch model seeded by cfg.seed and write
-    run_dir/metrics.csv and run_dir/model.ckpt; a diverging run still writes
-    the metrics logged before it.  Returns (series, trained parameters)."""
+    """Train a fresh model of model_cfg and write run_dir/metrics.csv and
+    run_dir/model.ckpt; a diverging run still writes the metrics logged
+    before it.  Returns (series, trained parameters)."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    params = models.init_model(model_config(spec, vocab_size, cfg.seed))
+    params = models.init_model(model_cfg)
     try:
         series, params = training.train(params, encoded, cfg, group=group)
     except training.DivergenceError as exc:
@@ -287,64 +287,20 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 
     group_results: dict[str, GroupResult] = {}
     all_series: dict[str, list[MetricSeries]] = {}
-
-    for group in spec.groups:
+    for group in spec.groups:  # one group's corpora in memory at a time
         kind = GROUP_TRANSFORMS[group]
-        train_sents = [apply_transform(kind, base[i]) for i in train_idx]
-        held_sents = [apply_transform(kind, base[i]) for i in held_idx]
-        corpusio.write_corpus(out / "corpora" / f"{group}.train.txt", train_sents)
-        corpusio.write_corpus(out / "corpora" / f"{group}.heldout.txt", held_sents)
-
-        vocab = tokenizer.build_vocabulary(train_sents)
-        tokenizer.save_vocabulary(vocab, out / "vocab" / f"{group}.vocab")
-        enc_train = tokenizer.encode_corpus(vocab, train_sents)
-        enc_held = tokenizer.encode_corpus(vocab, held_sents)
-
-        result = GroupResult(
-            group=group, seeds=list(spec.seeds), metrics_csv=[],
-            final_loss=[], final_perplexity=[], min_perplexity=[],
-            heldout_loss=[], heldout_perplexity=[],
-            mean_stabilized_loss=0.0, vocab_size=len(vocab),
-        )
-        series_list: list[MetricSeries] = []
-        for seed in spec.seeds:
-            run_dir = out / "runs" / group / f"seed{seed}"
-            cfg = dataclasses.replace(spec.training, seed=seed)
-            _log(f"[langlab] training {spec.arch} group={group} seed={seed} "
-                 f"steps={cfg.total_steps}")
-            series, params = train_run(spec, len(vocab), enc_train, cfg,
-                                       run_dir, group)
-            held_eval = training.evaluate_perplexity(params, enc_held,
-                                                     cfg.batch_size)
-            del params  # weights only (train leaves no .grad): free before the next run
-            series_list.append(series)
-            result.metrics_csv.append(str(run_dir.relative_to(out) / "metrics.csv"))
-            result.final_loss.append(series.records[-1].loss)
-            result.final_perplexity.append(series.records[-1].perplexity)
-            result.min_perplexity.append(min(r.perplexity for r in series.records))
-            result.heldout_loss.append(held_eval.loss)
-            result.heldout_perplexity.append(held_eval.perplexity)
-
-        window = [v for s in series_list
-                  for v in stats.stabilized_window(s, spec.stabilized_fraction)]
-        result.mean_stabilized_loss = sum(window) / len(window)
-        group_results[group] = result
-        all_series[group] = series_list
-        # free this group's corpora before the next group's are built
-        del train_sents, held_sents, enc_train, enc_held
+        group_results[group], all_series[group] = _run_group(
+            spec, group, [apply_transform(kind, base[i]) for i in train_idx],
+            [apply_transform(kind, base[i]) for i in held_idx], out)
 
     comparisons: list[dict] = []
     impossible = [g for g in spec.groups if g != "natural"]
     if "natural" in spec.groups and impossible:
         for group in impossible:
             for metric in ("loss", "perplexity"):
-                nat = [v for s in all_series["natural"]
-                       for v in stats.stabilized_window(
-                           s, spec.stabilized_fraction, metric)]
-                other = [v for s in all_series[group]
-                         for v in stats.stabilized_window(
-                             s, spec.stabilized_fraction, metric)]
-                res = stats.welch_t_test(nat, other)
+                res = stats.welch_t_test(
+                    _pooled_window(all_series["natural"], spec.stabilized_fraction, metric),
+                    _pooled_window(all_series[group], spec.stabilized_fraction, metric))
                 record = res.to_record(f"natural vs {group} [{metric}]")
                 record["indicator"] = metric
                 comparisons.append(record)
@@ -360,14 +316,55 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     if len(impossible) >= 2:
         report.linearity = linearity_gradient_summary(report)
 
-    _write_curves(out, all_series, spec)
+    _write_curves(out, all_series)
     _write_tables(out, report)
-    _write_plots(out, all_series, report)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    (out / "report.txt").write_text(render_text_report(report), encoding="utf-8")
+    corpusio.write_lines(out / "report.json",
+                         [json.dumps(report.to_json_dict(), indent=2, sort_keys=True)])
+    corpusio.write_lines(out / "report.txt",
+                         [render_text_report(report).removesuffix("\n")])
     return report
+
+
+def _run_group(spec: ExperimentSpec, group: str, train_sents: list[Sentence],
+               held_sents: list[Sentence], out: Path
+               ) -> tuple[GroupResult, list[MetricSeries]]:
+    """Write one group's corpora and vocabulary, then train one model per seed
+    and evaluate it on the held-out sentences.  Returns the group's result and
+    its series in seed order."""
+    corpusio.write_corpus(out / "corpora" / f"{group}.train.txt", train_sents)
+    corpusio.write_corpus(out / "corpora" / f"{group}.heldout.txt", held_sents)
+    vocab = tokenizer.build_vocabulary(train_sents)
+    tokenizer.save_vocabulary(vocab, out / "vocab" / f"{group}.vocab")
+    enc_train = tokenizer.encode_corpus(vocab, train_sents)
+    enc_held = tokenizer.encode_corpus(vocab, held_sents)
+    series_list, evals = [], []
+    for seed in spec.seeds:
+        cfg = dataclasses.replace(spec.training, seed=seed)
+        _log(f"[langlab] training {spec.arch} group={group} seed={seed} "
+             f"steps={cfg.total_steps}")
+        series, params = train_run(model_config(spec, len(vocab), seed), enc_train,
+                                   cfg, out / "runs" / group / f"seed{seed}", group)
+        evals.append(training.evaluate_perplexity(params, enc_held, cfg.batch_size))
+        del params  # weights only (train leaves no .grad): free before the next run
+        series_list.append(series)
+    window = _pooled_window(series_list, spec.stabilized_fraction, "loss")
+    return GroupResult(
+        group=group, seeds=list(spec.seeds),
+        metrics_csv=[f"runs/{group}/seed{seed}/metrics.csv" for seed in spec.seeds],
+        final_loss=[s.records[-1].loss for s in series_list],
+        final_perplexity=[s.records[-1].perplexity for s in series_list],
+        min_perplexity=[min(r.perplexity for r in s.records) for s in series_list],
+        heldout_loss=[e.loss for e in evals],
+        heldout_perplexity=[e.perplexity for e in evals],
+        mean_stabilized_loss=sum(window) / len(window),
+        vocab_size=len(vocab),
+    ), series_list
+
+
+def _pooled_window(series_list: list[MetricSeries], fraction: float,
+                   metric: str) -> list[float]:
+    """The stabilized windows of every series, one after another."""
+    return [v for s in series_list for v in stats.stabilized_window(s, fraction, metric)]
 
 
 def _spec_echo(spec: ExperimentSpec) -> dict:
@@ -394,75 +391,44 @@ def linearity_gradient_summary(report: RunReport) -> LinearitySummary:
     return LinearitySummary(ranking=ranking, parity_below_reversed=flag)
 
 
-def _curve_rows(series_list: list[MetricSeries], metric: str,
-                limit: int | None = None):
-    """(step, one value per seed) for each logged step up to step limit."""
-    for i, r in enumerate(series_list[0].records):
-        if limit is not None and r.step > limit:
-            return
-        yield r.step, [getattr(s.records[i], metric) for s in series_list]
-
-
-def _write_curves(out: Path, all_series: dict[str, list[MetricSeries]],
-                  spec: ExperimentSpec) -> None:
-    for group, series_list in all_series.items():
-        for metric in ("loss", "perplexity"):
-            for tag, limit in (("overall", None), ("first50", 50)):
-                path = out / "curves" / f"{group}.{metric}.{tag}.csv"
-                with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("step," + ",".join(
-                        f"seed{s.seed}" for s in series_list) + "\n")
-                    for step, vals in _curve_rows(series_list, metric, limit):
-                        fh.write(f"{step}," + ",".join(f"{v:.17g}" for v in vals)
-                                 + "\n")
+def _write_curves(out: Path, all_series: dict[str, list[MetricSeries]]) -> None:
+    """Each group's per-seed curve CSV and, from the same rows, the chart of
+    every group's mean curve: over all logged steps and over steps <= 50."""
+    for metric in ("loss", "perplexity"):
+        for tag, limit, title in (
+                ("overall", None, f"Training {metric} (mean over seeds)"),
+                ("first50", 50, f"Training {metric}, first 50 steps")):
+            means = {}
+            for group, series_list in all_series.items():
+                rows = [(r.step, [getattr(s.records[i], metric) for s in series_list])
+                        for i, r in enumerate(series_list[0].records)
+                        if limit is None or r.step <= limit]
+                corpusio.write_lines(
+                    out / "curves" / f"{group}.{metric}.{tag}.csv",
+                    ["step," + ",".join(f"seed{s.seed}" for s in series_list),
+                     *(f"{step}," + ",".join(f"{v:.17g}" for v in vals)
+                       for step, vals in rows)])
+                means[group] = ([step for step, _ in rows],
+                                [sum(vals) / len(vals) for _, vals in rows])
+            plots.line_chart(out / "plots" / f"{metric}_{tag}.svg", means, title,
+                             "step", metric)
 
 
 def _write_tables(out: Path, report: RunReport) -> None:
-    path = out / "tables" / "final_min_perplexity.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("group,seed,final_perplexity,min_perplexity,"
-                 "heldout_loss,heldout_perplexity\n")
-        for group, r in report.groups.items():
-            for i, seed in enumerate(r.seeds):
-                fh.write(
-                    f"{group},{seed},{r.final_perplexity[i]:.17g},"
-                    f"{r.min_perplexity[i]:.17g},{r.heldout_loss[i]:.17g},"
-                    f"{r.heldout_perplexity[i]:.17g}\n"
-                )
-
-
-def _mean_curve(series_list: list[MetricSeries], metric: str,
-                limit: int | None = None):
-    rows = list(_curve_rows(series_list, metric, limit))
-    return ([step for step, _ in rows],
-            [sum(vals) / len(vals) for _, vals in rows])
-
-
-def _write_plots(out: Path, all_series: dict[str, list[MetricSeries]],
-                 report: RunReport) -> None:
-    for metric in ("loss", "perplexity"):
-        plots.line_chart(
-            out / "plots" / f"{metric}_overall.svg",
-            {g: _mean_curve(sl, metric) for g, sl in all_series.items()},
-            f"Training {metric} (mean over seeds)", "step", metric,
-        )
-        plots.line_chart(
-            out / "plots" / f"{metric}_first50.svg",
-            {g: _mean_curve(sl, metric, limit=50) for g, sl in all_series.items()},
-            f"Training {metric}, first 50 steps", "step", metric,
-        )
-    groups = list(report.groups)
+    """The per-(group, seed) perplexity table and its bar chart of group means."""
+    groups = report.groups
+    corpusio.write_lines(out / "tables" / "final_min_perplexity.csv", [
+        "group,seed,final_perplexity,min_perplexity,heldout_loss,heldout_perplexity",
+        *(f"{group},{seed},{r.final_perplexity[i]:.17g},{r.min_perplexity[i]:.17g},"
+          f"{r.heldout_loss[i]:.17g},{r.heldout_perplexity[i]:.17g}"
+          for group, r in groups.items() for i, seed in enumerate(r.seeds))])
     plots.bar_chart(
-        out / "plots" / "final_min_perplexity.svg",
-        groups,
-        {
-            "final": [sum(report.groups[g].final_perplexity)
-                      / len(report.groups[g].final_perplexity) for g in groups],
-            "minimum": [sum(report.groups[g].min_perplexity)
-                        / len(report.groups[g].min_perplexity) for g in groups],
-        },
-        "Final and minimum perplexity (mean over seeds)",
-        "perplexity",
+        out / "plots" / "final_min_perplexity.svg", list(groups),
+        {"final": [sum(r.final_perplexity) / len(r.final_perplexity)
+                   for r in groups.values()],
+         "minimum": [sum(r.min_perplexity) / len(r.min_perplexity)
+                     for r in groups.values()]},
+        "Final and minimum perplexity (mean over seeds)", "perplexity",
     )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpusio import write_lines
+
 __all__ = ["line_chart", "bar_chart", "GROUP_COLORS"]
 
 GROUP_COLORS = {
@@ -110,7 +112,7 @@ def line_chart(
             f'font-size="12">{label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_lines(path, parts)
 
 
 def bar_chart(
@@ -154,4 +156,4 @@ def bar_chart(
             f'font-size="12">{label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_lines(path, parts)

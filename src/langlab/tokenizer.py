@@ -13,7 +13,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .corpusio import InputError, read_text
+from .corpusio import InputError, read_text, write_lines
 from .grammar import Sentence, gc_paused
 
 __all__ = [
@@ -91,10 +91,7 @@ def encode_corpus(vocab: Vocabulary, sentences: Iterable[Sentence]) -> list[Enco
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """One token per line; 4 special lines first, then words (line == id)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for token in vocab.id_to_word:
-            fh.write(token)
-            fh.write("\n")
+    write_lines(path, vocab.id_to_word)
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:

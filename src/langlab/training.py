@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import models
+from .corpusio import InputError, read_text, write_lines
 from .numcore import Tape
 from .tokenizer import PAD_ID, EncodedSequence
 
@@ -85,26 +86,30 @@ class MetricSeries:
         self.records.append(MetricRecord(step, loss, math.exp(loss), lr))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for r in self.records:
-                fh.write(
-                    f"{r.step},{r.loss:.17g},{r.perplexity:.17g},{r.lr:.17g},"
-                    f"{self.group},{self.arch},{self.seed}\n"
-                )
+        tail = f"{self.group},{self.arch},{self.seed}"
+        write_lines(path, [self.CSV_HEADER, *(
+            f"{r.step},{r.loss:.17g},{r.perplexity:.17g},{r.lr:.17g},{tail}"
+            for r in self.records)])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MetricSeries":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        """The series to_csv wrote; a wrong header, a malformed row or no row
+        at all is an InputError naming the file (and the row's line)."""
+        lines = read_text(path).splitlines()
         if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError(f"{path}: unexpected metrics CSV header")
+            raise InputError(f"{path}: unexpected metrics CSV header")
         series = cls()
-        for line in lines[1:]:
-            step, loss, ppl, lr, group, arch, seed = line.split(",")
-            series.group, series.arch, series.seed = group, arch, int(seed)
-            series.records.append(
-                MetricRecord(int(step), float(loss), float(ppl), float(lr))
-            )
+        for line_no, line in enumerate(lines[1:], 2):
+            try:
+                step, loss, ppl, lr, group, arch, seed = line.split(",")
+                series.group, series.arch, series.seed = group, arch, int(seed)
+                series.records.append(
+                    MetricRecord(int(step), float(loss), float(ppl), float(lr))
+                )
+            except ValueError as exc:
+                raise InputError(f"{path}: line {line_no}: {exc}") from exc
+        if not series.records:
+            raise InputError(f"{path}: no records")
         return series
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from pathlib import Path
 
-from .corpusio import iter_corpus
+from .corpusio import iter_corpus, write_lines
 from .grammar import Sentence
 
 __all__ = [
@@ -74,14 +74,13 @@ def transform_file(
     normalize: bool = False,
 ) -> int:
     """Transform a corpus file line by line; returns the line count written.
-    A failure names the file and its 1-based line, blank lines included."""
-    written = 0
-    with open(out_path, "w", encoding="utf-8", newline="\n") as dst:
+    A failure names the file and its 1-based line, blank lines included, and
+    leaves an existing out_path as it was."""
+    def lines():
         for line_no, words in iter_corpus(in_path, normalize):
             try:
                 words = _transform_words(kind, words)
             except TransformError as exc:
                 raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
-            dst.write(" ".join(words) + "\n")
-            written += 1
-    return written
+            yield " ".join(words)
+    return write_lines(out_path, lines())

@@ -51,6 +51,7 @@ def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
     spec = tiny_spec(out)
     report = run_experiment(spec)
+    assert not list(out.rglob("*.tmp"))  # every artifact replaced its temporary file
     return spec, report, out
 
 
@@ -341,6 +342,14 @@ def test_numeric_spec_value_is_rejected_or_runs(pairs, arch):
     assert math.isfinite(lr_schedule(1, spec.training))
 
 
+@pytest.mark.parametrize("arch, config", [("transformer", TransformerConfig),
+                                          ("lstm", LstmConfig)])
+def test_spec_shape_defaults_are_the_model_defaults(arch, config):
+    """langlab train builds a model config from its defaults, and its
+    checkpoint matches an experiment's only while the two sets agree."""
+    assert model_config(ExperimentSpec(arch=arch), 11, 4) == config(vocab=11, seed=4)
+
+
 # ------------------------------------------------------------------------ CLI
 
 
@@ -436,11 +445,11 @@ def test_cli_error_codes(tmp_path, capsys):
     # input error: spec file missing
     assert cli.main(["experiment", "--spec", str(tmp_path / "absent.spec")]) \
         == cli.EXIT_INPUT
-    # runtime error: corrupt metrics file
+    # input error: corrupt metrics file
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n")
     assert cli.main(["stats", "--a", str(bad), "--b", str(bad)]) \
-        == cli.EXIT_RUNTIME
+        == cli.EXIT_INPUT
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +484,7 @@ def bad_inputs(tmp_path_factory):
                                                  max_seq=16, vocab=8)), d / "t16.ckpt")
     (d / "long.txt").write_text("a b\n\n" + " ".join(["a b c d d"] * 5) + "\n")
     (d / "not.txt").write_text("the girl runs\n\n\nthe boy NOT runs\n")
+    (d / "not.out").write_text("an earlier output\n")
     (d / "space.txt").write_text("the girl runs\nthe boy  runs\n")
     (d / "tab.txt").write_text("the girl runs\nthe boy\truns\n")
     (d / "nbsp.txt").write_text("the girl runs\nthe boy\u00a0runs\n", encoding="utf-8")
@@ -487,7 +497,7 @@ def bad_inputs(tmp_path_factory):
     (d / "repeat.vocab").write_text("<pad>\n<bos>\n<eos>\n<unk>\na\nb\na\nc\nd\n")
     (d / "unk.vocab").write_text("<pad>\n<bos>\n<eos>\n<unk>\na\n<unk>\nb\nc\nd\n")
     latin = "the café runs\n".encode("latin-1")  # é as the one byte 0xE9: not UTF-8
-    for name in ("latin.txt", "latin.vocab", "latin.spec"):
+    for name in ("latin.txt", "latin.vocab", "latin.spec", "latin.csv"):
         (d / name).write_bytes(latin)
     for name, text in (("nojson", "{"), ("nogroups", '{"experiment": "1", "arch": "lstm"}'),
                        ("nofields", '{"experiment": "1", "arch": "lstm", "comparisons": [],'
@@ -496,6 +506,11 @@ def bad_inputs(tmp_path_factory):
                                       ' "groups": []}')):
         (d / name).mkdir()
         (d / name / "report.json").write_text(text)
+    header = MetricSeries.CSV_HEADER + "\n"
+    for name, rows in (("header", ""), ("word", "1,2.5,12.2,0.1,natural,lstm,1\n"
+                                                "2,low,12.2,0.1,natural,lstm,1\n"),
+                       ("short", "1,2.5,12.2\n")):
+        (d / f"{name}.csv").write_text(header + rows)
     return d
 
 
@@ -565,6 +580,22 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                  id="experiment-negative-corpus-seed"),
     pytest.param(["train", "--corpus", "{d}/absent.txt", "--out-dir", "{d}/t"],
                  cli.EXIT_INPUT, r"absent\.txt", id="missing-corpus"),
+    # the flags are checked before the corpus is read
+    pytest.param(["train", "--corpus", "{d}/absent.txt", "--seed", "-3",
+                  "--out-dir", "{d}/t-3"],
+                 cli.EXIT_CONFIG, r"^configuration error: seed must be >= 0, got -3$",
+                 id="train-negative-seed-absent-corpus"),
+    pytest.param(["stats", "--a", "{d}/word.csv", "--b", "{d}/word.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*word\.csv: line 3: could not convert string to "
+                 r"float: 'low'$", id="stats-csv-not-a-number"),
+    pytest.param(["stats", "--a", "{d}/short.csv", "--b", "{d}/short.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*short\.csv: line 2: not enough values to unpack",
+                 id="stats-csv-short-row"),
+    pytest.param(["stats", "--a", "{d}/header.csv", "--b", "{d}/header.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*header\.csv: no records$", id="stats-csv-no-records"),
+    pytest.param(["stats", "--a", "{d}/latin.csv", "--b", "{d}/latin.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*latin\.csv: not UTF-8 text \(invalid continuation "
+                 r"byte\)$", id="stats-csv-not-utf8"),
     pytest.param(_eval_args("truncated.ckpt"), cli.EXIT_INPUT,
                  r"truncated\.ckpt: truncated at byte offset \d+", id="truncated-ckpt"),
     pytest.param(_eval_args("doubled.ckpt"), cli.EXIT_INPUT,
@@ -679,6 +710,9 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
         for flag in ("--out", "--out-dir"):
             if flag in argv:
                 assert not Path(argv[argv.index(flag) + 1].format(d=bad_inputs)).exists()
+    if "{d}/not.out" in argv:  # a rejected transform leaves an existing --out as it was
+        assert (bad_inputs / "not.out").read_bytes() == b"an earlier output\n"
+        assert not list(bad_inputs.glob("*.tmp"))
     if "{d}/lr" in argv:  # a diverging run keeps the metrics logged so far
         lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langlab.corpusio import InputError, normalize_line, read_corpus, write_corpus
+from langlab.corpusio import (InputError, normalize_line, read_corpus, write_corpus,
+                              write_lines)
 from langlab.grammar import GenerationConfig, Sentence, generate_corpus
 from langlab.tokenizer import build_vocabulary, encode, encode_corpus
 from langlab.transforms import (
@@ -186,6 +187,22 @@ def test_corpus_file_format(tmp_path, small_corpus):
         assert line.strip() == line
     assert [s.words for s in read_corpus(path)] == \
         [s.words for s in small_corpus[:10]]
+
+
+def test_write_lines_replaces_the_file_only_once_every_line_is_written(tmp_path):
+    path = tmp_path / "out.txt"
+    assert write_lines(path, ["first", "", "third"]) == 3
+    before = path.read_bytes()
+    assert before == b"first\n\nthird\n"
+
+    def failing():
+        yield "new"
+        raise TransformError("bad line")
+
+    with pytest.raises(TransformError, match="bad line"):
+        write_lines(path, failing())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
