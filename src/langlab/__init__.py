@@ -18,7 +18,6 @@ from .transforms import (  # noqa: F401
     invert_parity_negation,
 )
 from .tokenizer import (  # noqa: F401
-    EncodedSequence,
     Vocabulary,
     build_vocabulary,
     encode,

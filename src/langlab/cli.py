@@ -62,7 +62,7 @@ def _cmd_train(args) -> int:
     # the default model shapes, which are the experiment spec's
     if args.arch == "transformer":
         model_cfg = models.TransformerConfig(
-            max_seq=max(max(e.length for e in encoded), 16), vocab=len(vocab),
+            max_seq=max(max(map(len, encoded)), 16), vocab=len(vocab),
             seed=args.seed)
     else:
         model_cfg = models.LstmConfig(vocab=len(vocab), seed=args.seed)
@@ -87,11 +87,11 @@ def _cmd_eval(args) -> int:
     _, encoded = _encode_corpus(args.corpus, vocab)
     if params.arch == "transformer":
         max_seq = params.config.max_seq
-        index = next((i for i, e in enumerate(encoded) if e.length - 1 > max_seq), None)
+        index = next((i for i, e in enumerate(encoded) if len(e) - 1 > max_seq), None)
         if index is not None:  # the line number of the index-th sentence
             line_no, _ = next(islice(corpusio.iter_corpus(args.corpus), index, None))
             raise harness.InputError(
-                f"{args.corpus}: line {line_no}: input width {encoded[index].length - 1} "
+                f"{args.corpus}: line {line_no}: input width {len(encoded[index]) - 1} "
                 f"exceeds max_seq {max_seq} of checkpoint {args.checkpoint}"
             )
     result = training.evaluate_perplexity(params, encoded)
@@ -114,6 +114,11 @@ def _cmd_stats(args) -> int:
                                 args.metric)
     b = stats.stabilized_window(_read_series(args.b), args.start_fraction,
                                 args.metric)
+    for path, window in ((args.a, a), (args.b, b)):
+        if len(window) < 2:
+            raise harness.ConfigError(
+                f"{path}: --start-fraction {args.start_fraction} leaves {len(window)} "
+                f"stabilized-window sample(s); Welch's t-test needs at least 2")
     result = stats.welch_t_test(a, b)
     record = result.to_record(f"{args.a} vs {args.b} [{args.metric}]")
     print(json.dumps(record, indent=2, sort_keys=True))

@@ -92,5 +92,5 @@ def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
     the file, so a corpus kept in memory holds its vocabulary once."""
     share = {}.setdefault
     with gc_paused():
-        return [Sentence(tuple(map(share, words, words)))
+        return [Sentence(map(share, words, words))
                 for _, words in iter_corpus(path, normalize)]

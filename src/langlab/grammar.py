@@ -106,15 +106,19 @@ class RewriteRule:
         return f"{self.lhs} -> {' '.join(self.rhs) if self.rhs else 'EMPTY'}"
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
-    """An ordered sequence of lowercase word tokens, free of punctuation."""
+class Sentence(tuple):
+    """An ordered sequence of lowercase word tokens, free of punctuation: the
+    tuple of its words, with nothing else per sentence."""
 
-    words: tuple[str, ...]
+    __slots__ = ()
+
+    @property
+    def words(self) -> tuple[str, ...]:
+        return self
 
     @property
     def text(self) -> str:
-        return " ".join(self.words)
+        return " ".join(self)
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ def _expander(grammar: Grammar):
             if symbol == "NP":
                 number = subject_number[index]
             stack.extend(reversed_rhs[index])
-        return Sentence(tuple(words))
+        return Sentence(words)
 
     return expand
 

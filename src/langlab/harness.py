@@ -103,6 +103,9 @@ class ExperimentSpec:
             raise ConfigError(f"unknown corpus_source: {self.corpus_source!r}")
         if self.corpus_source == "external" and not self.corpus_file:
             raise ConfigError("external corpus_source requires corpus_file")
+        if self.corpus_source == "generated" and self.corpus_file:
+            raise ConfigError(f"corpus_file {self.corpus_file!r} is set but corpus_source "
+                              f"is generated; use corpus_source = external")
         if self.arch not in ("transformer", "lstm"):
             raise ConfigError(f"unknown arch: {self.arch!r}")
         if not self.groups:
@@ -116,6 +119,8 @@ class ExperimentSpec:
             raise ConfigError("statistical comparisons require the natural group")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("duplicate seeds in spec")
         if not 0.0 <= self.stabilized_fraction < 1.0:
             raise ConfigError("stabilized_fraction must be in [0, 1)")
         if not 0.0 < self.heldout_fraction < 0.5:
@@ -229,7 +234,7 @@ def model_config(spec: ExperimentSpec, vocab: int, seed: int):
 
 
 def train_run(model_cfg: models.TransformerConfig | models.LstmConfig,
-              encoded: list[tokenizer.EncodedSequence], cfg: TrainingConfig,
+              encoded: list[tuple[int, ...]], cfg: TrainingConfig,
               run_dir: Path, group: str = ""
               ) -> tuple[MetricSeries, models.ModelParameters]:
     """Train a fresh model of model_cfg and write run_dir/metrics.csv and
@@ -267,9 +272,9 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         # length of every sentence by the same amount, so a longest base
         # sentence is longest in every group.  The model reads every encoded
         # token but the last: BOS and the words.
-        longest = max(base, key=lambda s: len(s.words))
+        longest = max(base, key=len)
         for group in spec.groups:
-            width = len(apply_transform(GROUP_TRANSFORMS[group], longest).words) + 1
+            width = len(apply_transform(GROUP_TRANSFORMS[group], longest)) + 1
             if width > spec.max_seq:
                 raise ConfigError(
                     f"group {group}: model input width {width} exceeds max_seq "

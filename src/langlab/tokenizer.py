@@ -7,9 +7,7 @@ bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -23,7 +21,6 @@ __all__ = [
     "UNK_ID",
     "SPECIAL_TOKENS",
     "Vocabulary",
-    "EncodedSequence",
     "build_vocabulary",
     "encode",
     "encode_corpus",
@@ -57,33 +54,22 @@ class Vocabulary:
         return isinstance(other, Vocabulary) and self.id_to_word == other.id_to_word
 
 
-@dataclass(frozen=True, slots=True)
-class EncodedSequence:
-    """Token ids starting with BOS and ending with EOS."""
-
-    ids: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.ids)
-
-
 def build_vocabulary(sentences: Iterable[Sentence]) -> Vocabulary:
     """Vocabulary over every distinct corpus word, first-appearance order."""
     sentences = iter(sentences)
     first = next(sentences, None)
     if first is None:
         raise ValueError("empty corpus")
-    words = chain(first.words, chain.from_iterable(map(attrgetter("words"), sentences)))
-    return Vocabulary(dict.fromkeys(words))
+    return Vocabulary(dict.fromkeys(chain(first, chain.from_iterable(sentences))))
 
 
-def encode(vocab: Vocabulary, s: Sentence) -> EncodedSequence:
-    return EncodedSequence(
-        (BOS_ID, *map(vocab.word_to_id.get, s.words, repeat(UNK_ID)), EOS_ID))
+def encode(vocab: Vocabulary, s: Sentence) -> tuple[int, ...]:
+    """The token ids of s: BOS, one id per word (UNK_ID for a word outside
+    vocab), EOS."""
+    return (BOS_ID, *map(vocab.word_to_id.get, s, repeat(UNK_ID)), EOS_ID)
 
 
-def encode_corpus(vocab: Vocabulary, sentences: Iterable[Sentence]) -> list[EncodedSequence]:
+def encode_corpus(vocab: Vocabulary, sentences: Iterable[Sentence]) -> list[tuple[int, ...]]:
     """encode of every sentence, with cyclic GC paused as read_corpus does."""
     with gc_paused():
         return [encode(vocab, s) for s in sentences]

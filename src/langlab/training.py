@@ -19,7 +19,7 @@ import numpy as np
 from . import models
 from .corpusio import InputError, read_text, write_lines
 from .numcore import Tape
-from .tokenizer import PAD_ID, EncodedSequence
+from .tokenizer import PAD_ID
 
 __all__ = [
     "TrainingConfig",
@@ -208,8 +208,8 @@ def _pad_batch(seqs: Sequence[tuple[int, ...]]) -> np.ndarray:
 
 
 def _check_vocab(params: models.ModelParameters,
-                 corpus: Sequence[EncodedSequence]) -> None:
-    top = max(max(e.ids) for e in corpus)
+                 corpus: Sequence[tuple[int, ...]]) -> None:
+    top = max(map(max, corpus))
     if top >= params.config.vocab:
         raise ValueError(
             f"vocab mismatch: corpus id {top} >= model vocab {params.config.vocab}"
@@ -218,7 +218,7 @@ def _check_vocab(params: models.ModelParameters,
 
 def train(
     params: models.ModelParameters,
-    corpus: Sequence[EncodedSequence],
+    corpus: Sequence[tuple[int, ...]],
     config: TrainingConfig,
     group: str = "",
 ) -> tuple[MetricSeries, models.ModelParameters]:
@@ -236,8 +236,7 @@ def train(
         while True:
             order = rng.permutation(len(corpus))
             for lo in range(0, len(corpus), config.batch_size):
-                yield _pad_batch([corpus[i].ids
-                                  for i in order[lo : lo + config.batch_size]])
+                yield _pad_batch([corpus[i] for i in order[lo : lo + config.batch_size]])
 
     batch_iter = batches()
     for step in range(1, config.total_steps + 1):
@@ -268,7 +267,7 @@ def train(
 
 def evaluate_perplexity(
     params: models.ModelParameters,
-    corpus: Sequence[EncodedSequence],
+    corpus: Sequence[tuple[int, ...]],
     batch_size: int = 64,
 ) -> EvalResult:
     """exp of the mean cross-entropy over all non-PAD target tokens."""
@@ -278,7 +277,7 @@ def evaluate_perplexity(
     total_nll = 0.0
     total_tokens = 0
     for lo in range(0, len(corpus), batch_size):
-        batch = _pad_batch([e.ids for e in corpus[lo : lo + batch_size]])
+        batch = _pad_batch(corpus[lo : lo + batch_size])
         keep = batch[:, 1:] != PAD_ID
         tape = Tape(record=False)
         logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))

@@ -51,19 +51,18 @@ def _transform_words(kind: TransformKind, words: tuple[str, ...]) -> tuple[str, 
 
 
 def apply_transform(kind: TransformKind, s: Sentence) -> Sentence:
-    words = _transform_words(kind, s.words)
+    words = _transform_words(kind, s)
     return s if kind is TransformKind.IDENTITY else Sentence(words)
 
 
 def invert_parity_negation(s: Sentence) -> Sentence:
     """Strip the single leading or trailing NOT; inverse of the parity transform."""
-    count = s.words.count(NOT_TOKEN)
-    if count != 1:
+    if s.count(NOT_TOKEN) != 1:
         raise TransformError("not a parity-negation sentence")
-    if s.words[-1] == NOT_TOKEN:
-        return Sentence(s.words[:-1])
-    if s.words[0] == NOT_TOKEN:
-        return Sentence(s.words[1:])
+    if s[-1] == NOT_TOKEN:
+        return Sentence(s[:-1])
+    if s[0] == NOT_TOKEN:
+        return Sentence(s[1:])
     raise TransformError("not a parity-negation sentence")
 
 

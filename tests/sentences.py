@@ -5,4 +5,4 @@ from langlab.grammar import Sentence
 
 def sent(text: str) -> Sentence:
     """The sentence of a whitespace-separated text."""
-    return Sentence(tuple(text.split()))
+    return Sentence(text.split())

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -180,6 +181,12 @@ def test_spec_validation_errors(tmp_path):
         tiny_spec(tmp_path, arch="rnn").validate()
     with pytest.raises(ConfigError):
         tiny_spec(tmp_path, seeds=()).validate()
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        tiny_spec(tmp_path, seeds=(1, 1)).validate()
+    with pytest.raises(ConfigError, match="corpus_file 'x.txt' is set but corpus_source "
+                                          "is generated"):
+        tiny_spec(tmp_path, corpus_file="x.txt").validate()
+    tiny_spec(tmp_path, corpus_file="").validate()  # the README's empty corpus_file line
     with pytest.raises(ConfigError, match="eval_every 10 exceeds total_steps 4"):
         tiny_spec(tmp_path,
                   training=TrainingConfig(total_steps=4, eval_every=10)).validate()
@@ -509,7 +516,9 @@ def bad_inputs(tmp_path_factory):
     header = MetricSeries.CSV_HEADER + "\n"
     for name, rows in (("header", ""), ("word", "1,2.5,12.2,0.1,natural,lstm,1\n"
                                                 "2,low,12.2,0.1,natural,lstm,1\n"),
-                       ("short", "1,2.5,12.2\n")):
+                       ("short", "1,2.5,12.2\n"),
+                       ("four", "".join(f"{k},{3 - k / 8},1,0.1,natural,lstm,1\n"
+                                        for k in range(1, 5)))):
         (d / f"{name}.csv").write_text(header + rows)
     return d
 
@@ -578,6 +587,21 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
     pytest.param(["experiment", "--seed", "-1", *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
                  r"^configuration error: corpus_seed must be >= 0, got -1$",
                  id="experiment-negative-corpus-seed"),
+    pytest.param(["experiment", "--corpus-count", "80", "--steps", "4", "--seeds", "1,1",
+                  "--groups", "natural,reversed", "--out-dir", "{d}/dup"],
+                 cli.EXIT_CONFIG, r"^configuration error: duplicate seeds in spec$",
+                 id="experiment-duplicate-seeds"),
+    pytest.param(["experiment", "--corpus-file", "{d}/c.txt", "--corpus-count", "60",
+                  *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: corpus_file '\S*c\.txt' is set "
+                 r"but corpus_source is generated; use corpus_source = external$",
+                 id="experiment-corpus-file-generated"),
+    # 4 records: a start fraction of 0.9 leaves the last one alone
+    pytest.param(["stats", "--a", "{d}/four.csv", "--b", "{d}/four.csv",
+                  "--start-fraction", "0.9"],
+                 cli.EXIT_CONFIG, r"^configuration error: \S*four\.csv: --start-fraction "
+                 r"0\.9 leaves 1 stabilized-window sample\(s\); Welch's t-test needs at "
+                 r"least 2$", id="stats-window-too-short"),
     pytest.param(["train", "--corpus", "{d}/absent.txt", "--out-dir", "{d}/t"],
                  cli.EXIT_INPUT, r"absent\.txt", id="missing-corpus"),
     # the flags are checked before the corpus is read
@@ -716,3 +740,44 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     if "{d}/lr" in argv:  # a diverging run keeps the metrics logged so far
         lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
+
+
+_FLAG_VALUES = st.one_of(st.integers(-3, 9).map(str),
+                         st.sampled_from(["nan", "inf", "-inf", "0.25", "0.9"]))
+# every drawn learning rate is either rejected or too small to diverge
+_FLAG_LRS = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "0.001", "0.01"])
+_SUBCOMMAND_FLAGS = {
+    "generate": {"--count": _FLAG_VALUES, "--seed": _FLAG_VALUES},
+    "train": {"--steps": _FLAG_VALUES, "--peak-lr": _FLAG_LRS,
+              "--batch-size": _FLAG_VALUES, "--warmup-fraction": _FLAG_VALUES,
+              "--eval-every": _FLAG_VALUES, "--seed": _FLAG_VALUES},
+    "stats": {"--start-fraction": _FLAG_VALUES},
+}
+_flag_runs = itertools.count()
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_FLAGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subcommand_flags_exit_0_or_2(bad_inputs, command, data):
+    """Any mix of small, negative, zero, nan and infinite numeric flags runs
+    (exit 0) or is a configuration error (exit 2) that creates no output."""
+    flags = data.draw(st.fixed_dictionaries({}, optional=_SUBCOMMAND_FLAGS[command]))
+    out = bad_inputs / f"flags{next(_flag_runs)}"
+    drawn = [f"{flag}={value}" for flag, value in flags.items()]  # so "-inf" is a value
+    argv = {
+        "generate": ["generate", *drawn, "--out", str(out)],
+        # short runs unless the draw sets --steps or --batch-size
+        "train": ["train", "--corpus", str(bad_inputs / "c.txt"), "--arch",
+                  data.draw(st.sampled_from(["transformer", "lstm"])), "--steps", "4",
+                  "--batch-size", "8", *drawn, "--out-dir", str(out)],
+        "stats": ["stats", "--a", str(bad_inputs / "four.csv"),
+                  "--b", str(bad_inputs / "four.csv"), *drawn],
+    }[command]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse: a value its type cannot parse
+        code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_CONFIG:
+        assert not out.exists()

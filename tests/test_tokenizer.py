@@ -1,21 +1,22 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langlab.corpusio import InputError, write_corpus
-from langlab.grammar import Sentence
+from langlab.corpusio import InputError, read_corpus, write_corpus
+from langlab.grammar import GenerationConfig, Sentence, generate_corpus
 from langlab.tokenizer import (
     BOS_ID,
     EOS_ID,
-    EncodedSequence,
     PAD_ID,
     SPECIAL_TOKENS,
     UNK_ID,
     build_vocabulary,
     encode,
+    encode_corpus,
     load_vocabulary,
     save_vocabulary,
 )
@@ -26,7 +27,7 @@ from sentences import sent
 
 def decoded(vocab, s):
     """The words of encode(vocab, s), read back through vocab.id_to_word."""
-    return tuple(vocab.id_to_word[i] for i in encode(vocab, s).ids[1:-1])
+    return tuple(vocab.id_to_word[i] for i in encode(vocab, s)[1:-1])
 
 
 def test_special_ids():
@@ -55,17 +56,17 @@ def test_empty_corpus_rejected():
 
 def test_encode_known_example():
     vocab = build_vocabulary([sent("the dog runs")])
-    assert encode(vocab, sent("the dog runs")).ids == (1, 4, 5, 6, 2)
+    assert encode(vocab, sent("the dog runs")) == (1, 4, 5, 6, 2)
 
 
 def test_encode_empty_sentence():
     vocab = build_vocabulary([sent("the dog runs")])
-    assert encode(vocab, Sentence(())).ids == (1, 2)
+    assert encode(vocab, Sentence(())) == (1, 2)
 
 
 def test_encode_unknown_word():
     vocab = build_vocabulary([sent("the dog runs")])
-    assert encode(vocab, sent("the wolf runs")).ids == (1, 4, UNK_ID, 6, 2)
+    assert encode(vocab, sent("the wolf runs")) == (1, 4, UNK_ID, 6, 2)
 
 
 def test_decode_inverse():
@@ -166,15 +167,43 @@ def test_encode_and_vocabulary_match_reference(train, probe):
         if w not in order and w not in SPECIAL_TOKENS:
             order.append(w)
     assert vocab.id_to_word == list(SPECIAL_TOKENS) + order
-    assert encode(vocab, Sentence(probe)).ids == _reference_encode(vocab, Sentence(probe))
+    assert encode(vocab, Sentence(probe)) == _reference_encode(vocab, Sentence(probe))
 
 
-@pytest.mark.parametrize("value", [
-    Sentence(("the", "dog")),
-    EncodedSequence((1, 4, 5, 2)),
-], ids=["sentence", "encoded"])
+@pytest.mark.parametrize("value", [Sentence(("the", "dog"))], ids=["sentence"])
 def test_value_types_are_slotted_and_copyable(value):
     assert not hasattr(value, "__dict__")
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert twin == value and type(twin) is type(value)
         assert hash(twin) == hash(value)
+        assert twin.words == ("the", "dog") and twin.text == "the dog"
+
+
+# ------------------------------------------------------------- corpus records
+
+
+@settings(max_examples=50)
+@given(words=st.lists(st.sampled_from(["the", "dog", "runs", "NOT"]), max_size=12))
+def test_sentence_is_the_size_of_its_tuple(words):
+    """A sentence is its tuple of words and nothing more: no wrapper object
+    per sentence, no per-instance dict."""
+    s = Sentence(words)
+    assert sys.getsizeof(s) == sys.getsizeof(tuple(words))
+    assert s == tuple(words) and s.words is s
+    assert s.text == " ".join(words)
+
+
+def test_corpus_producers_return_sentences_and_encode_plain_tuples(tmp_path, grammar):
+    generated = generate_corpus(grammar, GenerationConfig(count=50, seed=5))
+    path = tmp_path / "c.txt"
+    write_corpus(path, generated)
+    back = read_corpus(path)
+    transformed = [apply_transform(kind, s) for kind in TransformKind for s in back]
+    for corpus in (generated, back, transformed):
+        assert {type(s) for s in corpus} == {Sentence}
+        assert all(type(s.words) is Sentence for s in corpus)
+    vocab = build_vocabulary(back)
+    encoded = encode_corpus(vocab, back)
+    assert {type(e) for e in encoded} == {tuple}
+    assert encoded == [encode(vocab, s) for s in generated]
+    assert [len(e) for e in encoded] == [len(s) + 2 for s in back]

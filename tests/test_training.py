@@ -238,7 +238,7 @@ def test_train_leaves_no_gradients_and_the_same_series(tiny_setup):
     ref, rng, opt, losses = init_model(cfg), np.random.default_rng(3), AdamOptimizer(), []
     order = rng.permutation(len(encoded))
     for step in range(1, 6):
-        batch = _pad_batch([encoded[i].ids for i in order[(step - 1) * 16:step * 16]])
+        batch = _pad_batch([encoded[i] for i in order[(step - 1) * 16:step * 16]])
         keep = batch[:, 1:] != tokenizer.PAD_ID
         tape = Tape()
         logits = models.forward(ref, batch[:, :-1], tape, keep.sum(1))

@@ -240,7 +240,7 @@ def test_corpus_builders_restore_the_callers_gc_state(tmp_path, grammar, enabled
         vocab = build_vocabulary(sentences)
         assert encode_corpus(vocab, sentences) == [encode(vocab, s) for s in sentences]
         assert gc.isenabled() is enabled
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):  # None has no words to map over
             encode_corpus(vocab, [None])
         assert gc.isenabled() is enabled
         with pytest.raises(InputError, match=r"bad\.txt: line 3: empty word"):
