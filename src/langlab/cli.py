@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
@@ -89,7 +88,8 @@ def _cmd_eval(args) -> int:
         max_seq = params.config.max_seq
         index = next((i for i, e in enumerate(encoded) if len(e) - 1 > max_seq), None)
         if index is not None:  # the line number of the index-th sentence
-            line_no, _ = next(islice(corpusio.iter_corpus(args.corpus), index, None))
+            lines = corpusio.read_text(args.corpus).split("\n")
+            line_no = [i for i, line in enumerate(lines, 1) if line][index]
             raise harness.InputError(
                 f"{args.corpus}: line {line_no}: input width {len(encoded[index]) - 1} "
                 f"exceeds max_seq {max_seq} of checkpoint {args.checkpoint}"
@@ -119,6 +119,10 @@ def _cmd_stats(args) -> int:
             raise harness.ConfigError(
                 f"{path}: --start-fraction {args.start_fraction} leaves {len(window)} "
                 f"stabilized-window sample(s); Welch's t-test needs at least 2")
+    if len(set(a)) == 1 == len(set(b)) and a[0] != b[0]:
+        raise harness.InputError(
+            f"{args.a} and {args.b}: the stabilized-window {args.metric} is constant in "
+            f"both ({a[0]!r} and {b[0]!r}); Welch's t-test needs variance in at least one")
     result = stats.welch_t_test(a, b)
     record = result.to_record(f"{args.a} vs {args.b} [{args.metric}]")
     print(json.dumps(record, indent=2, sort_keys=True))

@@ -222,58 +222,88 @@ def default_grammar() -> Grammar:
     return grammar
 
 
+class _NoRules(dict):
+    """The entry of a nonterminal without rules: reaching it raises
+    KeyError(symbol), where a draw from no candidates would never end."""
+
+    __slots__ = ("symbol",)
+
+    def __init__(self, symbol: str):
+        self.symbol = symbol
+
+    def __missing__(self, number: str):
+        raise KeyError(self.symbol)
+
+
 def _expander(grammar: Grammar):
     """Compile the grammar into ``expand(rng)``.
 
-    Candidates are tabulated once per corpus: the rule indices of every
-    nonterminal, and of each agreeing auxiliary per subject number,
-    each with its count ``n`` and ``k = n.bit_length()``.  ``expand`` walks
-    the derivation iteratively in preorder and draws one index per expanded
-    nonterminal, single candidates included, as ``rng.randrange(n)`` does:
-    ``rng.getrandbits(k)`` until the draw is below ``n``, so the RNG stream
-    is the same.  A nonterminal or subject number without candidates is
-    left out of the table: reaching it raises KeyError, where the draw
-    would never end.
+    Each nonterminal becomes one entry, tabulated once per corpus:
+    ``(candidates, n, k)``, with one candidate per rule, its count ``n``
+    and ``k = n.bit_length()``.  A rule that rewrites to one terminal is
+    that word; any other is its right-hand side reversed, with each
+    nonterminal replaced by its entry.  The agreeing auxiliaries get a dict
+    of entries keyed by subject number.  ``expand`` walks the derivation
+    iteratively in preorder on a stack of words and entries, and draws one
+    candidate per expanded nonterminal, single candidates included, as
+    ``rng.randrange(n)`` does: ``rng.getrandbits(k)`` until the draw is
+    below ``n``, so the RNG stream is the same.  Reaching a nonterminal or
+    subject number without candidates raises KeyError, where the draw would
+    never end.
     """
-    rules = grammar.rules
+    rules, terminals = grammar.rules, grammar.terminals
+    entries: dict = {}
+    unfilled = []  # (candidate list, rule indices), filled once every entry exists
 
-    def drawn(candidates):  # what the inlined randrange(len(candidates)) needs
-        return candidates, len(candidates), len(candidates).bit_length()
+    def entry(indices):
+        candidates: list = []
+        unfilled.append((candidates, indices))
+        return candidates, len(indices), len(indices).bit_length()
 
-    choices = {sym: drawn(indices) for sym in grammar.nonterminals
-               if (indices := grammar.rules_for(sym))}
-    for sym in ("AuxBePres", "AuxBePast", "AuxHave"):
-        if sym in choices:  # agreeing candidates, keyed by subject number
-            agreeing = {number: tuple(i for i in choices[sym][0]
+    for sym in grammar.nonterminals:
+        indices = grammar.rules_for(sym)
+        if not indices:
+            entries[sym] = _NoRules(sym)
+        elif sym in ("AuxBePres", "AuxBePast", "AuxHave"):  # keyed by subject number
+            agreeing = {number: tuple(i for i in indices
                                       if _AUX_NUMBER[rules[i].rhs[0]] == number)
                         for number in ("sing", "pl")}
-            choices[sym] = {number: drawn(c) for number, c in agreeing.items() if c}
-    reversed_rhs = [rule.rhs[::-1] for rule in rules]
-    subject_number = {i: "sing" if rules[i].rhs == ("NP_sing",) else "pl"
-                      for i in grammar.rules_for("NP")}
-    terminals, start = grammar.terminals, grammar.start
+            entries[sym] = {number: entry(c) for number, c in agreeing.items() if c}
+        else:
+            entries[sym] = entry(indices)
+    for candidates, indices in unfilled:
+        for rhs in (rules[i].rhs for i in indices):
+            candidates.append(rhs[0] if len(rhs) == 1 and rhs[0] in terminals else
+                              tuple(s if s in terminals else entries[s] for s in rhs[::-1]))
+    subject = entries.get("NP")  # the only NP expanded: it sets the number
+    subject_number = ["sing" if rules[i].rhs == ("NP_sing",) else "pl"
+                      for i in grammar.rules_for("NP")]
+    start = entries[grammar.start]
 
     def expand(rng: random.Random) -> Sentence:
         getrandbits = rng.getrandbits
         words: list[str] = []
-        number = ""  # set by the subject NP, the only NP expanded
+        number = ""
         stack = [start]
+        pop, push, append = stack.pop, stack.extend, words.append
         while stack:
-            symbol = stack.pop()
-            if symbol in terminals:
-                words.append(symbol)
+            item = pop()
+            if type(item) is str:
+                append(item)
                 continue
-            entry = choices[symbol]
-            if type(entry) is dict:
-                entry = entry[number]
-            candidates, n, k = entry
+            if type(item) is not tuple:  # keyed by subject number, or _NoRules
+                item = item[number]
+            candidates, n, k = item
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            index = candidates[r]
-            if symbol == "NP":
-                number = subject_number[index]
-            stack.extend(reversed_rhs[index])
+            if item is subject:
+                number = subject_number[r]
+            candidate = candidates[r]
+            if type(candidate) is str:
+                append(candidate)
+            else:
+                push(candidate)
         return Sentence(words)
 
     return expand

@@ -7,7 +7,7 @@ bytes.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -35,17 +35,25 @@ UNK_ID = 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
+class _WordIds(dict):
+    """A word -> id dict whose lookup of an unknown word gives UNK_ID."""
+
+    def __missing__(self, word: str) -> int:
+        return UNK_ID
+
+
 class Vocabulary:
     """Bidirectional word/id map; immutable after build."""
 
     def __init__(self, words: Iterable[str]):
         self.id_to_word: list[str] = list(SPECIAL_TOKENS)
-        self.word_to_id: dict[str, int] = {}
+        self.word_to_id: dict[str, int] = _WordIds()
         for w in words:
             if w in self.word_to_id or w in SPECIAL_TOKENS:
                 continue
             self.word_to_id[w] = len(self.id_to_word)
             self.id_to_word.append(w)
+        self._id_of = self.word_to_id.__getitem__  # encode's lookup, bound once
 
     def __len__(self) -> int:
         return len(self.id_to_word)
@@ -66,7 +74,7 @@ def build_vocabulary(sentences: Iterable[Sentence]) -> Vocabulary:
 def encode(vocab: Vocabulary, s: Sentence) -> tuple[int, ...]:
     """The token ids of s: BOS, one id per word (UNK_ID for a word outside
     vocab), EOS."""
-    return (BOS_ID, *map(vocab.word_to_id.get, s, repeat(UNK_ID)), EOS_ID)
+    return (BOS_ID, *map(vocab._id_of, s), EOS_ID)
 
 
 def encode_corpus(vocab: Vocabulary, sentences: Iterable[Sentence]) -> list[tuple[int, ...]]:

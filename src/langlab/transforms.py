@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from pathlib import Path
 
-from .corpusio import iter_corpus, write_lines
+from .corpusio import _checked_lines, _corpus_text, _well_formed, write_lines
 from .grammar import Sentence
 
 __all__ = [
@@ -72,14 +72,27 @@ def transform_file(
     out_path: str | Path,
     normalize: bool = False,
 ) -> int:
-    """Transform a corpus file line by line; returns the line count written.
-    A failure names the file and its 1-based line, blank lines included, and
-    leaves an existing out_path as it was."""
-    def lines():
-        for line_no, words in iter_corpus(in_path, normalize):
-            try:
-                words = _transform_words(kind, words)
-            except TransformError as exc:
-                raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
-            yield " ".join(words)
-    return write_lines(out_path, lines())
+    """Transform a corpus file, held in memory whole, one non-blank line per
+    sentence; returns the line count written.  A failure names the file and
+    its 1-based line, blank lines included, and leaves an existing out_path
+    as it was."""
+    text = _corpus_text(in_path, normalize)
+    lines = text.split("\n")
+    if NOT_TOKEN in text or not _well_formed(text):  # line by line, naming the first bad one
+        def checked():
+            for line_no, words in _checked_lines(in_path, lines):
+                try:
+                    words = _transform_words(kind, tuple(words))
+                except TransformError as exc:
+                    raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
+                yield " ".join(words)
+        return write_lines(out_path, checked())
+    if kind is TransformKind.REVERSE:
+        out = (" ".join(line.split(" ")[::-1]) for line in lines if line)
+    elif kind is TransformKind.PARITY_NEGATION:  # odd word count: even space count
+        tail, head = " " + NOT_TOKEN, NOT_TOKEN + " "
+        out = (line + tail if line.count(" ") % 2 == 0 else head + line
+               for line in lines if line)
+    else:
+        out = filter(None, lines)
+    return write_lines(out_path, out)

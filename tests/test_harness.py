@@ -518,7 +518,10 @@ def bad_inputs(tmp_path_factory):
                                                 "2,low,12.2,0.1,natural,lstm,1\n"),
                        ("short", "1,2.5,12.2\n"),
                        ("four", "".join(f"{k},{3 - k / 8},1,0.1,natural,lstm,1\n"
-                                        for k in range(1, 5)))):
+                                        for k in range(1, 5))),
+                       ("flat2", "".join(f"{k},2,7.4,0.1,natural,lstm,1\n" for k in range(1, 5))),
+                       ("flat3", "".join(f"{k},3,20.1,0.1,natural,lstm,1\n"
+                                         for k in range(1, 5)))):
         (d / f"{name}.csv").write_text(header + rows)
     return d
 
@@ -602,6 +605,10 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
                  cli.EXIT_CONFIG, r"^configuration error: \S*four\.csv: --start-fraction "
                  r"0\.9 leaves 1 stabilized-window sample\(s\); Welch's t-test needs at "
                  r"least 2$", id="stats-window-too-short"),
+    pytest.param(["stats", "--a", "{d}/flat2.csv", "--b", "{d}/flat3.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*flat2\.csv and \S*flat3\.csv: the stabilized-window loss "
+                 r"is constant in both \(2\.0 and 3\.0\); Welch's t-test needs variance in "
+                 r"at least one$", id="stats-constant-windows"),
     pytest.param(["train", "--corpus", "{d}/absent.txt", "--out-dir", "{d}/t"],
                  cli.EXIT_INPUT, r"absent\.txt", id="missing-corpus"),
     # the flags are checked before the corpus is read

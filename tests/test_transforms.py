@@ -1,4 +1,6 @@
 import gc
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from langlab.transforms import (
     invert_parity_negation,
     transform_file,
 )
+import corpusref
 from sentences import sent
 
 words_strategy = st.lists(
@@ -195,14 +198,79 @@ def test_write_lines_replaces_the_file_only_once_every_line_is_written(tmp_path)
     before = path.read_bytes()
     assert before == b"first\n\nthird\n"
 
-    def failing():
-        yield "new"
+    def failing(count):
+        yield from (f"new {i}" for i in range(count))
         raise TransformError("bad line")
 
-    with pytest.raises(TransformError, match="bad line"):
-        write_lines(path, failing())
-    assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    # in the first chunk, and in the second, after a whole chunk was written
+    for count in (1, 10_000):
+        with pytest.raises(TransformError, match="bad line"):
+            write_lines(path, failing(count))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    assert write_lines(path, (f"new {i}" for i in range(10_000))) == 10_000
+    assert path.read_bytes() == "".join(f"new {i}\n" for i in range(10_000)).encode()
+
+
+# Corpus files for the reference property: lowercase words and words that
+# hold NOT, blank lines, LF, CRLF or CR endings, and at most one fault or a
+# valid non-ASCII word.
+_FILE_WORDS = st.one_of(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=5),
+                        st.sampled_from(["NOT", "NOTE", "kNOT"]))
+_FILE_LINES = st.lists(st.one_of(st.just(""),
+                                 st.lists(_FILE_WORDS, min_size=1, max_size=6).map(" ".join)),
+                       min_size=1, max_size=8)
+_INSERTED = ["\t", "\u00a0", "\x0b", "\x85", "\u2028", "\x7f", "café"]
+
+
+@st.composite
+def corpus_files(draw) -> bytes:
+    lines = draw(_FILE_LINES)
+    fault = draw(st.sampled_from([None, "doubled", "leading", "trailing", "not-utf8",
+                                  *_INSERTED]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if fault == "doubled":
+        lines[i] = lines[i].replace(" ", "  ", 1) if " " in lines[i] else lines[i] + "  a"
+    elif fault == "leading":
+        lines[i] = " " + lines[i]
+    elif fault == "trailing":
+        lines[i] += " "
+    elif fault in _INSERTED:  # anywhere in the line, inside a word or not
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + fault + lines[i][at:]
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (ending.join(lines) + draw(st.sampled_from(["", ending]))).encode("utf-8")
+    if fault == "not-utf8":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xe9" + data[at:]
+    return data
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=corpus_files(), normalize=st.booleans())
+def test_whole_file_paths_match_the_per_line_reference(data, normalize):
+    """read_corpus and transform_file give the sentences, output bytes and
+    line count of the per-line reference, or raise its error and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "c.txt"
+        src.write_bytes(data)
+        got = _outcome(read_corpus, src, normalize)
+        assert got == _outcome(corpusref.read_corpus, src, normalize)
+        assert type(got) is tuple or all(type(s) is Sentence for s in got)
+        for kind in TransformKind:
+            out, ref = Path(tmp) / f"{kind.value}.out", Path(tmp) / f"{kind.value}.ref"
+            got = _outcome(transform_file, kind, src, out, normalize)
+            assert got == _outcome(corpusref.transform_file, kind, src, ref, normalize)
+            if type(got) is int:
+                assert out.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
