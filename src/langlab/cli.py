@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error (bad flags, bad spec file),
-3 input error (missing, unreadable or malformed files), 4 runtime failure.
+3 input error (missing, unreadable or malformed files, or a path that cannot
+be written), 4 runtime failure.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _encode_corpus(path: str, vocab: tokenizer.Vocabulary | None = None):
     one is built from the corpus."""
     sentences = corpusio.read_corpus(path)
     if not sentences:
-        raise harness.InputError(f"corpus is empty: {path}")
+        raise harness.InputError(f"{path}: no sentences")
     if vocab is None:
         vocab = tokenizer.build_vocabulary(sentences)
     return vocab, tokenizer.encode_corpus(vocab, sentences)
@@ -58,13 +59,8 @@ def _cmd_train(args) -> int:
     with harness.config_errors():  # the flags, before the corpus is read
         cfg.validate()
     vocab, encoded = _encode_corpus(args.corpus)
-    # the default model shapes, which are the experiment spec's
-    if args.arch == "transformer":
-        model_cfg = models.TransformerConfig(
-            max_seq=max(max(map(len, encoded)), 16), vocab=len(vocab),
-            seed=args.seed)
-    else:
-        model_cfg = models.LstmConfig(vocab=len(vocab), seed=args.seed)
+    model_cfg = harness.model_config(harness.ExperimentSpec(
+        arch=args.arch, max_seq=max(max(map(len, encoded)), 16)), len(vocab), args.seed)
     out_dir = Path(args.out_dir)
     series, _ = harness.train_run(model_cfg, encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")
@@ -101,19 +97,12 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _read_series(path: str) -> training.MetricSeries:
-    if not Path(path).is_file():
-        raise harness.InputError(f"metrics CSV not found: {path}")
-    return training.MetricSeries.from_csv(path)
-
-
 def _cmd_stats(args) -> int:
     with harness.config_errors():  # the fraction's own check, before any file is read
         stats.stabilized_start(1, args.start_fraction)
-    a = stats.stabilized_window(_read_series(args.a), args.start_fraction,
-                                args.metric)
-    b = stats.stabilized_window(_read_series(args.b), args.start_fraction,
-                                args.metric)
+    a, b = (stats.stabilized_window(training.MetricSeries.from_csv(path),
+                                    args.start_fraction, args.metric)
+            for path in (args.a, args.b))
     for path, window in ((args.a, a), (args.b, b)):
         if len(window) < 2:
             raise harness.ConfigError(
@@ -249,7 +238,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (harness.InputError, models.CheckpointError, TransformError,
-            FileNotFoundError) as exc:
+            OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -27,11 +27,14 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
 
 
 def read_text(path: str | Path) -> str:
-    """The whole text of a UTF-8 file."""
+    """The whole text of a UTF-8 file; a file that cannot be read, such as a
+    missing one or a directory, raises InputError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:

@@ -202,12 +202,9 @@ def _load_base_corpus(spec: ExperimentSpec) -> list[Sentence]:
         return generate_corpus(
             grammar, GenerationConfig(count=spec.corpus_count, seed=spec.corpus_seed)
         )
-    path = Path(spec.corpus_file)
-    if not path.is_file():
-        raise InputError(f"corpus file not found: {path}")
-    sentences = corpusio.read_corpus(path, normalize=True)
+    sentences = corpusio.read_corpus(spec.corpus_file, normalize=True)
     if not sentences:
-        raise InputError(f"corpus file is empty: {path}")
+        raise InputError(f"{spec.corpus_file}: no sentences")
     return sentences
 
 
@@ -282,13 +279,10 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
                 )
 
     out = Path(spec.out_dir)
-    try:
-        for sub in ("corpora", "vocab", "runs", "curves", "tables", "plots"):
-            (out / sub).mkdir(parents=True, exist_ok=True)
-        for name in ("report.json", "report.txt"):
-            (out / name).unlink(missing_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create output directory {out}: {exc}") from exc
+    for sub in ("corpora", "vocab", "runs", "curves", "tables", "plots"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    for name in ("report.json", "report.txt"):
+        (out / name).unlink(missing_ok=True)
 
     group_results: dict[str, GroupResult] = {}
     all_series: dict[str, list[MetricSeries]] = {}
@@ -473,8 +467,6 @@ def render_text_report(report: RunReport) -> str:
 
 def load_report(run_dir: str | Path) -> RunReport:
     path = Path(run_dir) / "report.json"
-    if not path.is_file():
-        raise InputError(f"no report.json under {run_dir}")
     try:
         return RunReport.from_json_dict(json.loads(corpusio.read_text(path)))
     except json.JSONDecodeError as exc:
@@ -504,8 +496,6 @@ def parse_spec_file(path: str | Path | None,
                     overrides: dict | None = None) -> ExperimentSpec:
     """Build an ExperimentSpec from a key=value file (None: no file) plus an
     override mapping, whose None values override nothing."""
-    if path is not None and not Path(path).is_file():
-        raise InputError(f"spec file not found: {path}")
     pairs: dict[str, str] = {}
     lines = corpusio.read_text(path).splitlines() if path is not None else []
     for ln, raw in enumerate(lines, 1):

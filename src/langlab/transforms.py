@@ -36,23 +36,18 @@ class TransformError(ValueError):
     pass
 
 
-def _transform_words(kind: TransformKind, words: tuple[str, ...]) -> tuple[str, ...]:
-    if not words:
+def apply_transform(kind: TransformKind, s: Sentence) -> Sentence:
+    if not s:
         raise TransformError("empty input")
-    if NOT_TOKEN in words:
+    if NOT_TOKEN in s:
         raise TransformError("reserved token present")
     if kind is TransformKind.IDENTITY:
-        return words
+        return s
     if kind is TransformKind.REVERSE:
-        return words[::-1]
+        return Sentence(s[::-1])
     if kind is TransformKind.PARITY_NEGATION:
-        return words + (NOT_TOKEN,) if len(words) % 2 == 1 else (NOT_TOKEN,) + words
+        return Sentence(s + (NOT_TOKEN,) if len(s) % 2 == 1 else (NOT_TOKEN,) + s)
     raise TransformError(f"unknown transform kind: {kind!r}")
-
-
-def apply_transform(kind: TransformKind, s: Sentence) -> Sentence:
-    words = _transform_words(kind, s)
-    return s if kind is TransformKind.IDENTITY else Sentence(words)
 
 
 def invert_parity_negation(s: Sentence) -> Sentence:
@@ -78,15 +73,10 @@ def transform_file(
     as it was."""
     text = _corpus_text(in_path, normalize)
     lines = text.split("\n")
-    if NOT_TOKEN in text or not _well_formed(text):  # line by line, naming the first bad one
-        def checked():
-            for line_no, words in _checked_lines(in_path, lines):
-                try:
-                    words = _transform_words(kind, tuple(words))
-                except TransformError as exc:
-                    raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
-                yield " ".join(words)
-        return write_lines(out_path, checked())
+    if NOT_TOKEN in text or not _well_formed(text):  # name the first bad line, if any
+        for line_no, words in _checked_lines(in_path, lines):
+            if NOT_TOKEN in words:
+                raise TransformError(f"{in_path}: line {line_no}: reserved token present")
     if kind is TransformKind.REVERSE:
         out = (" ".join(line.split(" ")[::-1]) for line in lines if line)
     elif kind is TransformKind.PARITY_NEGATION:  # odd word count: even space count

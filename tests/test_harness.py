@@ -200,7 +200,7 @@ def test_spec_validation_errors(tmp_path):
 def test_external_corpus_missing_file(tmp_path):
     spec = tiny_spec(tmp_path, corpus_source="external",
                      corpus_file=str(tmp_path / "absent.txt"))
-    with pytest.raises(InputError, match="not found"):
+    with pytest.raises(InputError, match=r"absent\.txt: cannot read"):
         run_experiment(spec)
 
 
@@ -468,6 +468,9 @@ def bad_inputs(tmp_path_factory):
     (d / "short.spec").write_text("max_seq = 4\n")
     (d / "nine.spec").write_text("experiment = 1\nmax_seq = 9\n")
     (d / "heads.spec").write_text("t_heads = 3\n")
+    (d / "dir").mkdir()  # a directory where a file is expected
+    (d / "empty.txt").write_text("")
+    (d / "blank.txt").write_text("\n\n\n")
     ckpt = d / "good.ckpt"
     save_checkpoint(init_model(LstmConfig(hidden_dim=4, embed_dim=4, vocab=8)), ckpt)
     blob = ckpt.read_bytes()
@@ -532,6 +535,8 @@ def _eval_args(ckpt, vocab="v.txt"):
 
 
 _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
+_CANNOT_READ_DIR = r"^input error: \S*/dir: cannot read \(Is a directory\)$"
+_OS_ERROR_ON = r"^input error: \[Errno \d+\] [^:]+: '\S*"  # Python's message names the path
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -733,6 +738,50 @@ _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
     pytest.param(["report", "--run-dir", "{d}/listgroups"], cli.EXIT_INPUT,
                  r"^input error: \S*listgroups/report\.json: malformed report: ",
                  id="report-groups-not-object"),
+    # a path of the wrong kind: a directory read as a file
+    pytest.param(["transform", "--kind", "reverse", "--in", "{d}/dir", "--out", "{d}/t.out"],
+                 cli.EXIT_INPUT, _CANNOT_READ_DIR, id="transform-in-dir"),
+    pytest.param(["train", "--corpus", "{d}/dir", "--out-dir", "{d}/t"],
+                 cli.EXIT_INPUT, _CANNOT_READ_DIR, id="train-corpus-dir"),
+    pytest.param(_eval_args("dir"), cli.EXIT_INPUT, _OS_ERROR_ON + r"dir'$",
+                 id="eval-checkpoint-dir"),
+    pytest.param(_eval_args("good.ckpt", "dir"), cli.EXIT_INPUT, _CANNOT_READ_DIR,
+                 id="eval-vocab-dir"),
+    pytest.param(["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
+                  "--corpus", "{d}/dir"],
+                 cli.EXIT_INPUT, _CANNOT_READ_DIR, id="eval-corpus-dir"),
+    pytest.param(["experiment", "--spec", "{d}/dir"], cli.EXIT_INPUT, _CANNOT_READ_DIR,
+                 id="experiment-spec-dir"),
+    # ... a directory written as a file
+    pytest.param(["transform", "--kind", "reverse", "--in", "{d}/c.txt", "--out", "{d}/dir"],
+                 cli.EXIT_INPUT, _OS_ERROR_ON + r"dir\.tmp' -> '\S*/dir'$",
+                 id="transform-out-dir"),
+    pytest.param(["generate", "--count", "3", "--out", "{d}/dir"], cli.EXIT_INPUT,
+                 _OS_ERROR_ON + r"dir\.tmp' -> '\S*/dir'$", id="generate-out-dir"),
+    # ... a regular file as an output directory
+    pytest.param(["train", "--corpus", "{d}/c.txt", "--steps", "2", "--out-dir", "{d}/c.txt"],
+                 cli.EXIT_INPUT, _OS_ERROR_ON + r"c\.txt'$", id="train-out-dir-file"),
+    pytest.param(["experiment", "--corpus-count", "40", "--seeds", "1", "--steps", "4",
+                  "--out-dir", "{d}/c.txt"],
+                 cli.EXIT_INPUT, _OS_ERROR_ON + r"c\.txt/corpora'$",
+                 id="experiment-out-dir-file"),
+    # ... a missing file
+    pytest.param(["stats", "--a", "{d}/absent.csv", "--b", "{d}/four.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*absent\.csv: cannot read \(No such file or directory\)$",
+                 id="stats-missing-csv"),
+    pytest.param(["report", "--run-dir", "{d}/absent"], cli.EXIT_INPUT,
+                 r"^input error: \S*absent/report\.json: cannot read \(No such file or "
+                 r"directory\)$", id="report-missing-run-dir"),
+    # a corpus with no sentence: empty, or blank lines only
+    *(pytest.param(argv, cli.EXIT_INPUT, rf"^input error: \S*{name}\.txt: no sentences$",
+                   id=f"{cmd}-{name}-corpus")
+      for name in ("empty", "blank")
+      for cmd, argv in (
+          ("train", ["train", "--corpus", f"{{d}}/{name}.txt", "--out-dir", f"{{d}}/{name}"]),
+          ("eval", ["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
+                    "--corpus", f"{{d}}/{name}.txt"]),
+          ("experiment", ["experiment", "--experiment", "2", "--corpus-file",
+                          f"{{d}}/{name}.txt", *_TINY_EXPERIMENT]))),
 ])
 def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     assert cli.main([a.format(d=bad_inputs) for a in argv]) == code
@@ -743,7 +792,7 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
                 assert not Path(argv[argv.index(flag) + 1].format(d=bad_inputs)).exists()
     if "{d}/not.out" in argv:  # a rejected transform leaves an existing --out as it was
         assert (bad_inputs / "not.out").read_bytes() == b"an earlier output\n"
-        assert not list(bad_inputs.glob("*.tmp"))
+    assert not list(bad_inputs.glob("*.tmp"))  # nor does any failed write leave one
     if "{d}/lr" in argv:  # a diverging run keeps the metrics logged so far
         lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2

@@ -1,4 +1,5 @@
-"""The package carries no code that only the tests reach."""
+"""The package carries no code that only the tests reach, and no file check
+but its one file boundary."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,22 @@ def test_every_public_name_is_reached_by_product_code():
     ]
     assert sorted(set(unreached) - ALLOWED) == []
     assert ALLOWED <= set(unreached)  # an entry that product code reaches goes
+
+
+def test_no_ad_hoc_file_checks():
+    """A path is checked by opening it: corpusio.read_text turns an OSError
+    into an InputError that names the file, and the CLI exits 3 on any other
+    OSError.  So no module asks first whether a path is a file or exists, and
+    none handles FileNotFoundError, which would miss directories and
+    permissions."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("is_file", "exists")):
+                found.append(f"{path.name}:{n.lineno}: .{n.func.attr}()")
+            elif isinstance(n, ast.ExceptHandler) and n.type is not None and any(
+                    isinstance(t, ast.Name) and t.id == "FileNotFoundError"
+                    for t in ast.walk(n.type)):
+                found.append(f"{path.name}:{n.lineno}: except FileNotFoundError")
+    assert found == []
