@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
 from .grammar import GenerationConfig, default_grammar, generate_corpus
+from .harness import ExperimentSpec
+from .training import TrainingConfig
 from .transforms import TransformError, TransformKind, transform_file
 
 EXIT_OK = 0
@@ -40,27 +43,21 @@ def _cmd_transform(args) -> int:
 
 
 def _encode_corpus(path: str, vocab: tokenizer.Vocabulary | None = None):
-    """(vocab, encoded sentences) of a non-empty corpus file; without a vocab,
-    one is built from the corpus."""
+    """(vocab, encoded sentences) of a corpus file; vocab None builds one."""
     sentences = corpusio.read_corpus(path)
-    if not sentences:
-        raise harness.InputError(f"{path}: no sentences")
     if vocab is None:
         vocab = tokenizer.build_vocabulary(sentences)
     return vocab, tokenizer.encode_corpus(vocab, sentences)
 
 
 def _cmd_train(args) -> int:
-    cfg = training.TrainingConfig(
-        total_steps=args.steps, peak_lr=args.peak_lr, batch_size=args.batch_size,
-        warmup_fraction=args.warmup_fraction, eval_every=args.eval_every,
-        seed=args.seed,
-    )
+    cfg = TrainingConfig(**{f.name: getattr(args, f.name) for f in fields(TrainingConfig)})
     with harness.config_errors():  # the flags, before the corpus is read
         cfg.validate()
     vocab, encoded = _encode_corpus(args.corpus)
-    model_cfg = harness.model_config(harness.ExperimentSpec(
-        arch=args.arch, max_seq=max(max(map(len, encoded)), 16)), len(vocab), args.seed)
+    max_seq = max(max(map(len, encoded)), ExperimentSpec.max_seq)
+    model_cfg = harness.model_config(ExperimentSpec(arch=args.arch, max_seq=max_seq),
+                                     len(vocab), args.seed)
     out_dir = Path(args.out_dir)
     series, _ = harness.train_run(model_cfg, encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")
@@ -119,17 +116,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    overrides = {
-        "experiment": args.experiment,
-        "out_dir": args.out_dir,
-        "arch": args.arch,
-        "groups": args.groups,
-        "seeds": args.seeds,
-        "total_steps": args.steps,
-        "corpus_count": args.corpus_count,
-        "corpus_file": args.corpus_file,
-        "corpus_seed": args.seed,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in harness.SPEC_KEYS}
     spec = harness.parse_spec_file(args.spec, overrides)
     report = harness.run_experiment(spec)
     print(harness.render_text_report(report))
@@ -154,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a seeded SVO corpus")
-    p.add_argument("--count", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--count", type=int, default=ExperimentSpec.corpus_count)
+    p.add_argument("--seed", type=int, default=ExperimentSpec.corpus_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -176,14 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model on a corpus file")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--arch", choices=("transformer", "lstm"),
-                   default="transformer")
+    p.add_argument("--arch", choices=tuple(models.CONFIG_TYPES),
+                   default=ExperimentSpec.arch)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--steps", type=int, default=120)
-    p.add_argument("--peak-lr", type=float, default=3e-3)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--warmup-fraction", type=float, default=0.14)
-    p.add_argument("--eval-every", type=int, default=1)
+    p.add_argument("--steps", dest="total_steps", metavar="STEPS", type=int,
+                   default=TrainingConfig.total_steps)
+    p.add_argument("--peak-lr", type=float, default=TrainingConfig.peak_lr)
+    p.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
+    p.add_argument("--warmup-fraction", type=float, default=TrainingConfig.warmup_fraction)
+    p.add_argument("--eval-every", type=int, default=TrainingConfig.eval_every)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -197,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="metrics CSV, first group")
     p.add_argument("--b", required=True, help="metrics CSV, second group")
     p.add_argument("--metric", choices=("loss", "perplexity"), default="loss")
-    p.add_argument("--start-fraction", type=float, default=0.5)
+    p.add_argument("--start-fraction", type=float,
+                   default=ExperimentSpec.stabilized_fraction)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser(
@@ -208,17 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
         "values.",
     )
     p.add_argument("--spec", help="path to spec file")
-    p.add_argument("--experiment", choices=("1", "2", "3", "4", "custom"),
+    p.add_argument("--experiment",
+                   choices=(*harness.EXPERIMENT_PRESETS, ExperimentSpec.experiment),
                    help="experiment preset: 1/2 transformer, 3/4 lstm; "
                    "2/4 take an external corpus")
     p.add_argument("--out-dir")
-    p.add_argument("--arch", choices=("transformer", "lstm"))
+    p.add_argument("--arch", choices=tuple(models.CONFIG_TYPES))
     p.add_argument("--groups", help="comma-separated group list")
     p.add_argument("--seeds", help="comma-separated training seeds")
-    p.add_argument("--steps", type=int, help="training steps per run")
+    p.add_argument("--steps", dest="total_steps", metavar="STEPS", type=int,
+                   help="training steps per run")
     p.add_argument("--corpus-count", type=int)
     p.add_argument("--corpus-file")
-    p.add_argument("--seed", type=int, help="corpus generation seed")
+    p.add_argument("--seed", dest="corpus_seed", metavar="SEED", type=int,
+                   help="corpus generation seed")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", help="render a stored experiment report")

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .grammar import Sentence, gc_paused
 
-# write_lines stays out of __all__: perfbench times each __all__ function as
-# its module's work, and the lines it writes are its caller's work
+# read_bytes, replacing and write_lines stay out of __all__: perfbench times
+# each __all__ function as its module's work, and what they move is the caller's
 __all__ = ["InputError", "write_corpus", "read_corpus", "normalize_line",
            "read_text"]
 
@@ -26,41 +27,56 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-def read_text(path: str | Path) -> str:
-    """The whole text of a UTF-8 file; a file that cannot be read, such as a
-    missing one or a directory, raises InputError naming it."""
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of a file; a file that cannot be read, such as a missing one
+    or a directory, raises InputError naming it.  Every input file is read here."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> int:
-    """Write each line and a "\\n" as UTF-8 to a temporary sibling, path's
-    name + ".tmp", which then replaces path: if writing or drawing a line
-    fails, the temporary file is removed and an existing path is left as it
-    was.  Returns the line count.  Every text artifact is written here."""
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file read through read_bytes, with "\\r\\n" and
+    "\\r" line ends translated to "\\n"."""
+    try:
+        text = read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file open at a temporary sibling, path's name + ".tmp", which
+    replaces path when the block ends; if the block raises, the temporary
+    file is removed and path is left as it was.  Every file is written here."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    lines = iter(lines)
-    count = 0
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            while chunk := list(islice(lines, _CHUNK_LINES)):
-                count += len(chunk)
-                chunk.append("")  # the last line's "\n"
-                fh.write("\n".join(chunk))
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line and a "\\n" as UTF-8 through replacing; returns the
+    line count.  Every text artifact is written here."""
+    lines = iter(lines)
+    count = 0
+    with replacing(path) as fh:
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            count += len(chunk)
+            chunk.append("")  # the last line's "\n"
+            fh.write("\n".join(chunk).encode("utf-8"))
     return count
 
 
 def write_corpus(path: str | Path, sentences: Iterable[Sentence]) -> None:
-    write_lines(path, (s.text for s in sentences))
+    write_lines(path, map(" ".join, sentences))
 
 
 def normalize_line(line: str) -> str:
@@ -110,7 +126,8 @@ def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
     """The sentences of a corpus file, one per non-blank line, sharing one
     string per distinct word of the file, so a corpus kept in memory holds
     its vocabulary once.  The lines are checked through their distinct
-    words; a failed check names the first bad line."""
+    words; a failed check names the first bad line, and a file with no
+    sentence raises InputError too."""
     lines = _corpus_text(path, normalize).split("\n")
     distinct: dict[str, str] = {}
     share = distinct.setdefault
@@ -121,4 +138,6 @@ def read_corpus(path: str | Path, normalize: bool = False) -> list[Sentence]:
     if "" in distinct or not all(map(str.isprintable, distinct)):
         for _ in _checked_lines(path, lines):  # raises at the first bad line
             pass
+    if not sentences:
+        raise InputError(f"{path}: no sentences")
     return sentences

@@ -43,13 +43,12 @@ __all__ = [
     "load_report",
 ]
 
-KNOWN_GROUPS = ("natural", "reversed", "parity-negation")
-
 GROUP_TRANSFORMS = {
     "natural": TransformKind.IDENTITY,
     "reversed": TransformKind.REVERSE,
     "parity-negation": TransformKind.PARITY_NEGATION,
 }
+KNOWN_GROUPS = tuple(GROUP_TRANSFORMS)
 
 # experiment-id analogs: (corpus source, architecture)
 EXPERIMENT_PRESETS = {
@@ -106,7 +105,7 @@ class ExperimentSpec:
         if self.corpus_source == "generated" and self.corpus_file:
             raise ConfigError(f"corpus_file {self.corpus_file!r} is set but corpus_source "
                               f"is generated; use corpus_source = external")
-        if self.arch not in ("transformer", "lstm"):
+        if self.arch not in models.CONFIG_TYPES:
             raise ConfigError(f"unknown arch: {self.arch!r}")
         if not self.groups:
             raise ConfigError("at least one group is required")
@@ -198,14 +197,9 @@ def _log(msg: str) -> None:
 
 def _load_base_corpus(spec: ExperimentSpec) -> list[Sentence]:
     if spec.corpus_source == "generated":
-        grammar = default_grammar()
-        return generate_corpus(
-            grammar, GenerationConfig(count=spec.corpus_count, seed=spec.corpus_seed)
-        )
-    sentences = corpusio.read_corpus(spec.corpus_file, normalize=True)
-    if not sentences:
-        raise InputError(f"{spec.corpus_file}: no sentences")
-    return sentences
+        return generate_corpus(default_grammar(),
+                               GenerationConfig(spec.corpus_count, spec.corpus_seed))
+    return corpusio.read_corpus(spec.corpus_file, normalize=True)
 
 
 def _split_indices(n: int, heldout_fraction: float, seed: int):
@@ -480,16 +474,14 @@ def load_report(run_dir: str | Path) -> RunReport:
 # ------------------------------------------------------------- spec file I/O
 #
 # Declarative key = value format, one per line, '#' comments.  Lists are
-# comma-separated.  Keys mirror ExperimentSpec plus the TrainingConfig fields
-# total_steps, warmup_fraction, peak_lr, batch_size, eval_every.
+# comma-separated.  The keys are the fields of ExperimentSpec and
+# TrainingConfig but ``training`` and TrainingConfig.seed (each run's seed
+# comes from ``seeds``); the type of a field's default parses its value.
 
-_SPEC_INT = {"corpus_count", "corpus_seed", "max_seq",
-             "t_layers", "t_dim", "t_heads", "t_ff",
-             "l_layers", "l_embed", "l_hidden"}
-_SPEC_FLOAT = {"stabilized_fraction", "heldout_fraction"}
-_SPEC_STR = {"experiment", "corpus_source", "corpus_file", "arch", "out_dir"}
-_TRAIN_INT = {"total_steps", "batch_size", "eval_every"}
-_TRAIN_FLOAT = {"warmup_fraction", "peak_lr"}
+# spec key -> (config class, field default)
+SPEC_KEYS = {f.name: (cls, f.default)
+             for cls, skip in ((ExperimentSpec, "training"), (TrainingConfig, "seed"))
+             for f in dataclasses.fields(cls) if f.name != skip}
 
 
 def parse_spec_file(path: str | Path | None,
@@ -512,39 +504,29 @@ def parse_spec_file(path: str | Path | None,
 
 
 def build_spec(pairs: dict[str, str]) -> ExperimentSpec:
-    spec_kwargs: dict = {}
-    train_kwargs: dict = {}
+    kwargs: dict[type, dict] = {ExperimentSpec: {}, TrainingConfig: {}}
     for key, value in pairs.items():
-        if key in _SPEC_INT:
-            spec_kwargs[key] = _parse_typed(key, value, int)
-        elif key in _SPEC_FLOAT:
-            spec_kwargs[key] = _parse_typed(key, value, float)
-        elif key in _SPEC_STR:
-            spec_kwargs[key] = value
-        elif key == "groups":
-            spec_kwargs[key] = tuple(g.strip() for g in value.split(",") if g.strip())
-        elif key == "seeds":
-            spec_kwargs[key] = tuple(
-                _parse_typed(key, s.strip(), int) for s in value.split(",") if s.strip()
-            )
-        elif key in _TRAIN_INT:
-            train_kwargs[key] = _parse_typed(key, value, int)
-        elif key in _TRAIN_FLOAT:
-            train_kwargs[key] = _parse_typed(key, value, float)
-        else:
+        if key not in SPEC_KEYS:
             raise ConfigError(f"unknown spec key: {key!r}")
-    experiment = spec_kwargs.get("experiment", "custom")
-    if experiment in EXPERIMENT_PRESETS:
-        source, arch = EXPERIMENT_PRESETS[experiment]
+        cls, default = SPEC_KEYS[key]
+        kwargs[cls][key] = _parse_value(key, value, default)
+    spec_kwargs = kwargs[ExperimentSpec]
+    if spec_kwargs.get("experiment") in EXPERIMENT_PRESETS:
+        source, arch = EXPERIMENT_PRESETS[spec_kwargs["experiment"]]
         spec_kwargs.setdefault("corpus_source", source)
         spec_kwargs.setdefault("arch", arch)
-    spec = ExperimentSpec(training=TrainingConfig(**train_kwargs), **spec_kwargs)
+    spec = ExperimentSpec(training=TrainingConfig(**kwargs[TrainingConfig]), **spec_kwargs)
     spec.validate()
     return spec
 
 
-def _parse_typed(key: str, value: str, typ):
+def _parse_value(key: str, value: str, default):
+    """value as the type of the key's default: str for a None default, and
+    for a tuple the comma-separated items, each as the type of its first."""
+    if isinstance(default, tuple):
+        return tuple(_parse_value(key, item.strip(), default[0])
+                     for item in value.split(",") if item.strip())
     try:
-        return typ(value)
+        return (str if default is None else type(default))(value)
     except ValueError as exc:
         raise ConfigError(f"spec key {key!r}: cannot parse {value!r}") from exc

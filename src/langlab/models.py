@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import corpusio
 from .numcore import ShapeError, Tape, Tensor
 
 __all__ = [
@@ -76,9 +77,13 @@ class LstmConfig:
             raise ValueError(f"all LSTM dims must be positive: {self}")
 
 
+# architecture name -> its config class: the one list of architectures
+CONFIG_TYPES = {"transformer": TransformerConfig, "lstm": LstmConfig}
+
+
 @dataclass
 class ModelParameters:
-    arch: str  # "transformer" | "lstm"
+    arch: str  # a key of CONFIG_TYPES
     config: TransformerConfig | LstmConfig
     tensors: dict[str, Tensor]
 
@@ -213,8 +218,6 @@ def forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Te
 #   u32 n_tensors; per tensor: u32 name_len, name, u32 rank, u64 dims...,
 #   float64 values in row-major order.
 
-_CONFIG_TYPES = {"transformer": TransformerConfig, "lstm": LstmConfig}
-
 
 def _pack_str(s: str) -> bytes:
     b = s.encode("utf-8")
@@ -222,24 +225,25 @@ def _pack_str(s: str) -> bytes:
 
 
 def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
-    out = [_pack_str(params.arch)]
+    """Written through corpusio.replacing: a failed write leaves path as it was."""
     cfg_items = [(f.name, repr(getattr(params.config, f.name)))
                  for f in fields(params.config)]
-    out.append(struct.pack("<I", len(cfg_items)))
-    for key, val in cfg_items:
-        out.append(_pack_str(key))
-        out.append(_pack_str(val))
-    out.append(struct.pack("<I", len(params.tensors)))
-    for name, t in params.tensors.items():
-        out.append(_pack_str(name))
-        out.append(struct.pack("<I", t.data.ndim))
-        out.append(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
-        out.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(out))
+    with corpusio.replacing(path) as fh:
+        fh.write(_pack_str(params.arch))
+        fh.write(struct.pack("<I", len(cfg_items)))
+        for key, val in cfg_items:
+            fh.write(_pack_str(key))
+            fh.write(_pack_str(val))
+        fh.write(struct.pack("<I", len(params.tensors)))
+        for name, t in params.tensors.items():
+            fh.write(_pack_str(name))
+            fh.write(struct.pack("<I", t.data.ndim))
+            fh.write(struct.pack(f"<{t.data.ndim}Q", *t.data.shape))
+            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ModelParameters:
-    blob = memoryview(Path(path).read_bytes())
+    blob = memoryview(corpusio.read_bytes(path))
     pos = 0
 
     def take(n: int) -> memoryview:
@@ -266,9 +270,9 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
             ) from exc
 
     arch = read_str()
-    if arch not in _CONFIG_TYPES:
+    if arch not in CONFIG_TYPES:
         raise CheckpointError(f"{path}: unknown architecture tag {arch!r}")
-    cfg_cls = _CONFIG_TYPES[arch]
+    cfg_cls = CONFIG_TYPES[arch]
     raw = {}
     for _ in range(read_u32()):
         key = read_str()

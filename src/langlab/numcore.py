@@ -418,7 +418,9 @@ class Tape:
             raise ValueError("cross_entropy: target id out of range")
         x, rows = logits.data, np.arange(n)
         m = x.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+        e = x - m
+        np.exp(e, out=e)
+        lse = m + np.log(e.sum(axis=-1, keepdims=True))
         loss = -(x[rows, targets] - lse[:, 0]).sum() / n
 
         def bwd(g):

@@ -268,7 +268,7 @@ def train(
 def evaluate_perplexity(
     params: models.ModelParameters,
     corpus: Sequence[tuple[int, ...]],
-    batch_size: int = 64,
+    batch_size: int = TrainingConfig.batch_size,
 ) -> EvalResult:
     """exp of the mean cross-entropy over all non-PAD target tokens."""
     if not corpus:

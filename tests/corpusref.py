@@ -34,7 +34,10 @@ def iter_corpus(path, normalize=False):
 
 
 def read_corpus(path, normalize=False) -> list[Sentence]:
-    return [Sentence(words) for _, words in iter_corpus(path, normalize)]
+    sentences = [Sentence(words) for _, words in iter_corpus(path, normalize)]
+    if not sentences:
+        raise InputError(f"{path}: no sentences")
+    return sentences
 
 
 def transform_file(kind, in_path, out_path, normalize=False) -> int:

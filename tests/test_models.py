@@ -3,7 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +352,24 @@ def test_checkpoint_round_trip(tmp_path):
         for name in params.tensors:
             assert (loaded.tensors[name].data.tobytes()
                     == params.tensors[name].data.tobytes())
+
+
+class _Unwritable:
+    @property
+    def data(self):
+        raise OSError("no space left on device")
+
+
+def test_checkpoint_write_that_fails_halfway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_model(TINY_L), path)
+    old = path.read_bytes()
+    params = init_model(replace(TINY_L, seed=4))
+    params.tensors["out.w"] = _Unwritable()  # written after the embedding and the layer
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(params, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]  # the temporary file is removed
 
 
 def test_checkpoint_binary_layout(tmp_path):

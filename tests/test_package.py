@@ -68,7 +68,7 @@ def test_every_public_name_is_reached_by_product_code():
 
 
 def test_no_ad_hoc_file_checks():
-    """A path is checked by opening it: corpusio.read_text turns an OSError
+    """A path is checked by opening it: corpusio.read_bytes turns an OSError
     into an InputError that names the file, and the CLI exits 3 on any other
     OSError.  So no module asks first whether a path is a file or exists, and
     none handles FileNotFoundError, which would miss directories and
