@@ -77,8 +77,8 @@ def _cmd_eval(args) -> int:
             f"{args.checkpoint} was trained on {params.config.vocab}"
         )
     _, encoded = _encode_corpus(args.corpus, vocab)
-    if params.arch == "transformer":
-        max_seq = params.config.max_seq
+    max_seq = params.config.max_seq
+    if max_seq is not None:
         index = next((i for i, e in enumerate(encoded) if len(e) - 1 > max_seq), None)
         if index is not None:  # the line number of the index-th sentence
             lines = corpusio.read_text(args.corpus).split("\n")

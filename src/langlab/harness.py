@@ -211,17 +211,19 @@ def _split_indices(n: int, heldout_fraction: float, seed: int):
     return train, held
 
 
+# config class -> {field: the spec key that sets it}; vocab and seed come from the run
+_MODEL_KEYS = {
+    models.TransformerConfig: dict(layers="t_layers", model_dim="t_dim", heads="t_heads",
+                                   ff_dim="t_ff", max_seq="max_seq"),
+    models.LstmConfig: dict(layers="l_layers", hidden_dim="l_hidden", embed_dim="l_embed"),
+}
+
+
 def model_config(spec: ExperimentSpec, vocab: int, seed: int):
     """The model config of spec.arch with the spec's shapes."""
-    if spec.arch == "transformer":
-        return models.TransformerConfig(
-            layers=spec.t_layers, model_dim=spec.t_dim, heads=spec.t_heads,
-            ff_dim=spec.t_ff, max_seq=spec.max_seq, vocab=vocab, seed=seed,
-        )
-    return models.LstmConfig(
-        layers=spec.l_layers, hidden_dim=spec.l_hidden, embed_dim=spec.l_embed,
-        vocab=vocab, seed=seed,
-    )
+    cls = models.CONFIG_TYPES[spec.arch]
+    return cls(vocab=vocab, seed=seed,
+               **{name: getattr(spec, key) for name, key in _MODEL_KEYS[cls].items()})
 
 
 def train_run(model_cfg: models.TransformerConfig | models.LstmConfig,
@@ -258,7 +260,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
             f"leaves none for training; use a larger corpus"
         )
 
-    if spec.arch == "transformer":
+    max_seq = model_config(spec, 1, 0).max_seq  # None: no position limit
+    if max_seq is not None:
         # Check every group before any trains.  Each transform changes the
         # length of every sentence by the same amount, so a longest base
         # sentence is longest in every group.  The model reads every encoded
@@ -266,10 +269,10 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         longest = max(base, key=len)
         for group in spec.groups:
             width = len(apply_transform(GROUP_TRANSFORMS[group], longest)) + 1
-            if width > spec.max_seq:
+            if width > max_seq:
                 raise ConfigError(
                     f"group {group}: model input width {width} exceeds max_seq "
-                    f"{spec.max_seq}; raise max_seq"
+                    f"{max_seq}; raise max_seq"
                 )
 
     out = Path(spec.out_dir)

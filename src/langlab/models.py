@@ -1,15 +1,16 @@
 """Miniature decoder-only transformer and LSTM language models.
 
-Both forwards map token ids [batch, positions] and lengths [batch] to
-next-token logits.  Only the positions t < lengths[i] of each row i (a
-prefix) are computed, and their logits come packed batch-major as
-[sum(lengths), vocab]; np.full(batch, positions) keeps every position.  The
-models are causal: position i only sees tokens at positions <= i.  The
-transformer runs on packed rows: learned positional embeddings, pre-layer-norm
-blocks, masked multi-head attention, a gelu feed-forward, Tape.linear
-projections and a Tape.unembed output projection tied to the token
-embedding.  The LSTM runs on packed rows too: its recurrence (gates input,
-forget, cell, output; one fused Tape.lstm_layer op per layer) steps each
+Each architecture is declared once, by its config class: its name (arch, the
+checkpoint tag), position limit (max_seq; None: none), parameter shapes (of a
+config they validate), initializer and forward.  A forward maps token ids
+[batch, positions] and lengths [batch] to the next-token logits of the
+positions t < lengths[i] of each row i, packed batch-major as [sum(lengths),
+vocab]; np.full(batch, positions) keeps every position.  Both models are causal
+(position i sees positions <= i) and compute on packed rows.  The transformer:
+learned positional embeddings, pre-layer-norm blocks, masked multi-head
+attention, a gelu feed-forward, Tape.linear projections and a Tape.unembed
+output projection tied to the token embedding.  The LSTM: one fused
+Tape.lstm_layer op per layer (gates input, forget, cell, output) steps each
 sequence only through its own length, then a Tape.linear output projection.
 """
 
@@ -19,6 +20,7 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,11 +48,12 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TransformerConfig:
+    arch: ClassVar[str] = "transformer"
     layers: int = 2
     model_dim: int = 64
     heads: int = 2
     ff_dim: int = 256
-    max_seq: int = 16
+    max_seq: int = 16  # the position limit: one learned embedding per position
     vocab: int = 128
     seed: int = 0
 
@@ -63,9 +66,37 @@ class TransformerConfig:
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}"
             )
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        self.validate()
+        d, f = self.model_dim, self.ff_dim
+        shapes = {"tok_emb": (self.vocab, d), "pos_emb": (self.max_seq, d)}
+        for i in range(self.layers):
+            pre = f"l{i}."
+            shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
+            shapes.update({pre + "attn." + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
+            shapes.update({pre + "attn." + name: (d,) for name in ("bq", "bk", "bv", "bo")})
+            shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
+                           pre + "ff.w1": (d, f), pre + "ff.b1": (f,),
+                           pre + "ff.w2": (f, d), pre + "ff.b2": (d,)})
+        return shapes | {"ln_f.g": (d,), "ln_f.b": (d,)}
+
+    def init_arrays(self) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(self.seed)
+        p = {}
+        for name, shape in self.param_shapes().items():
+            kind = name.rsplit(".", 1)[-1]  # g: layer-norm gain, b...: a bias
+            p[name] = (np.ones(shape) if kind == "g" else np.zeros(shape)
+                       if kind[0] == "b" else rng.normal(0.0, 0.02, shape))
+        return p
+
+    def forward(self, params, ids, tape, lengths) -> Tensor:
+        return transformer_forward(params, ids, tape, lengths)
+
 
 @dataclass(frozen=True)
 class LstmConfig:
+    arch: ClassVar[str] = "lstm"
+    max_seq: ClassVar[None] = None  # no position limit
     layers: int = 1
     hidden_dim: int = 128
     embed_dim: int = 64
@@ -76,78 +107,47 @@ class LstmConfig:
         if min(self.layers, self.hidden_dim, self.embed_dim, self.vocab) < 1:
             raise ValueError(f"all LSTM dims must be positive: {self}")
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        self.validate()
+        h, in_dim = self.hidden_dim, self.embed_dim
+        shapes = {"embed": (self.vocab, in_dim)}
+        for i in range(self.layers):
+            shapes.update({f"l{i}.wx": (in_dim, 4 * h), f"l{i}.wh": (h, 4 * h),
+                           f"l{i}.b": (4 * h,)})
+            in_dim = h
+        return shapes | {"out.w": (h, self.vocab), "out.b": (self.vocab,)}
+
+    def init_arrays(self) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(self.seed)
+        h = self.hidden_dim
+        p = {}
+        for name, shape in self.param_shapes().items():
+            if name.endswith(".b"):
+                p[name] = np.zeros(shape)
+                if name != "out.b":
+                    p[name][h:2 * h] = 1.0  # forget gate starts open
+            else:
+                p[name] = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), shape)
+        return p
+
+    def forward(self, params, ids, tape, lengths) -> Tensor:
+        return lstm_forward(params, ids, tape, lengths)
+
 
 # architecture name -> its config class: the one list of architectures
-CONFIG_TYPES = {"transformer": TransformerConfig, "lstm": LstmConfig}
+CONFIG_TYPES = {cls.arch: cls for cls in (TransformerConfig, LstmConfig)}
 
 
 @dataclass
 class ModelParameters:
-    arch: str  # a key of CONFIG_TYPES
-    config: TransformerConfig | LstmConfig
+    config: TransformerConfig | LstmConfig  # its arch names the architecture
     tensors: dict[str, Tensor]
-
-
-def _param_shapes(cfg: TransformerConfig | LstmConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter, in init order, of a config it validates."""
-    cfg.validate()
-    if isinstance(cfg, LstmConfig):
-        h, in_dim = cfg.hidden_dim, cfg.embed_dim
-        shapes = {"embed": (cfg.vocab, in_dim)}
-        for i in range(cfg.layers):
-            shapes.update({f"l{i}.wx": (in_dim, 4 * h), f"l{i}.wh": (h, 4 * h),
-                           f"l{i}.b": (4 * h,)})
-            in_dim = h
-        return shapes | {"out.w": (h, cfg.vocab), "out.b": (cfg.vocab,)}
-    d, f = cfg.model_dim, cfg.ff_dim
-    shapes = {"tok_emb": (cfg.vocab, d), "pos_emb": (cfg.max_seq, d)}
-    for i in range(cfg.layers):
-        pre = f"l{i}."
-        shapes.update({pre + "ln1.g": (d,), pre + "ln1.b": (d,)})
-        shapes.update({pre + "attn." + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
-        shapes.update({pre + "attn." + name: (d,) for name in ("bq", "bk", "bv", "bo")})
-        shapes.update({pre + "ln2.g": (d,), pre + "ln2.b": (d,),
-                       pre + "ff.w1": (d, f), pre + "ff.b1": (f,),
-                       pre + "ff.w2": (f, d), pre + "ff.b2": (d,)})
-    return shapes | {"ln_f.g": (d,), "ln_f.b": (d,)}
-
-
-def _init_transformer(cfg: TransformerConfig) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(cfg.seed)
-    p = {}
-    for name, shape in _param_shapes(cfg).items():
-        kind = name.rsplit(".", 1)[-1]  # g: layer-norm gain, b...: a bias
-        p[name] = (np.ones(shape) if kind == "g" else np.zeros(shape) if kind[0] == "b"
-                   else rng.normal(0.0, 0.02, shape))
-    return p
-
-
-def _init_lstm(cfg: LstmConfig) -> dict[str, np.ndarray]:
-    shapes = _param_shapes(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    h = cfg.hidden_dim
-    bound = 1.0 / np.sqrt(h)
-    p = {}
-    for name, shape in shapes.items():
-        if name.endswith(".b"):
-            p[name] = np.zeros(shape)
-            if name != "out.b":
-                p[name][h:2 * h] = 1.0  # forget gate starts open
-        else:
-            p[name] = rng.uniform(-bound, bound, shape)
-    return p
 
 
 def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
     """Seed-deterministic parameter initialization for either family."""
-    if isinstance(config, TransformerConfig):
-        arch, arrays = "transformer", _init_transformer(config)
-    elif isinstance(config, LstmConfig):
-        arch, arrays = "lstm", _init_lstm(config)
-    else:
-        raise TypeError(f"unsupported config type: {type(config).__name__}")
-    return ModelParameters(arch, config, {name: Tensor(a, requires_grad=True)
-                                          for name, a in arrays.items()})
+    return ModelParameters(config, {name: Tensor(a, requires_grad=True)
+                                    for name, a in config.init_arrays().items()})
 
 
 def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
@@ -203,11 +203,7 @@ def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) 
 
 
 def forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Tensor:
-    if params.arch == "transformer":
-        return transformer_forward(params, ids, tape, lengths)
-    if params.arch == "lstm":
-        return lstm_forward(params, ids, tape, lengths)
-    raise ValueError(f"unknown architecture tag: {params.arch!r}")
+    return params.config.forward(params, ids, tape, lengths)
 
 
 # ------------------------------------------------------------------ checkpoint
@@ -229,7 +225,7 @@ def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
     cfg_items = [(f.name, repr(getattr(params.config, f.name)))
                  for f in fields(params.config)]
     with corpusio.replacing(path) as fh:
-        fh.write(_pack_str(params.arch))
+        fh.write(_pack_str(params.config.arch))
         fh.write(struct.pack("<I", len(cfg_items)))
         for key, val in cfg_items:
             fh.write(_pack_str(key))
@@ -294,7 +290,7 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
             f"{path}: config {next(iter(raw))}: not a key of the {arch} config")
     config = cfg_cls(**values)
     try:
-        shapes = _param_shapes(config)
+        shapes = config.param_shapes()
     except ValueError as exc:
         raise CheckpointError(f"{path}: config: {exc}") from None
     tensors: dict[str, Tensor] = {}
@@ -320,5 +316,5 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
     missing = [name for name in shapes if name not in tensors]
     if missing:
         raise CheckpointError(f"{path}: tensor {missing[0]}: missing")
-    return ModelParameters(arch, config, tensors)
+    return ModelParameters(config, tensors)
 

@@ -183,7 +183,7 @@ def student_t_sf(t: float, df: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def stabilized_start(n: int, start_fraction: float = 0.5) -> int:
+def stabilized_start(n: int, start_fraction: float) -> int:
     """Index of the first of n records in the stabilized window:
     ceil(start_fraction * n), clamped so at least the last record is always
     included."""
@@ -194,11 +194,8 @@ def stabilized_start(n: int, start_fraction: float = 0.5) -> int:
     return min(math.ceil(start_fraction * n), n - 1)
 
 
-def stabilized_window(
-    series: MetricSeries,
-    start_fraction: float = 0.5,
-    metric: str = "loss",
-) -> list[float]:
+def stabilized_window(series: MetricSeries, start_fraction: float,
+                      metric: str) -> list[float]:
     """Values from the contiguous tail of the series, from record index
     stabilized_start(record count, start_fraction) on."""
     start = stabilized_start(len(series.records), start_fraction)

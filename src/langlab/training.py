@@ -230,7 +230,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     optimizer = AdamOptimizer()
-    series = MetricSeries(group=group, arch=params.arch, seed=config.seed)
+    series = MetricSeries(group=group, arch=params.config.arch, seed=config.seed)
 
     def batches():
         while True:

@@ -180,7 +180,7 @@ def test_criterion_3_gradient_correctness():
         def loss_at(name, arr):
             probe = {n: Tensor(p.data) for n, p in params.tensors.items()}
             probe[name] = Tensor(arr)
-            stand_in = models.ModelParameters(params.arch, params.config, probe)
+            stand_in = models.ModelParameters(params.config, probe)
             t2 = Tape(record=False)
             out = models.forward(stand_in, batch[:, :-1], t2, np.full(2, 7))
             return float(t2.cross_entropy(out, batch[:, 1:].ravel()).data)
@@ -197,7 +197,7 @@ def test_criterion_3_gradient_correctness():
                            - loss_at(name, base - h * u)) / (2 * h)
                 err = (abs(analytic - numeric)
                        / max(abs(analytic), abs(numeric), 1e-8))
-                assert err < tol, f"{params.arch}.{name}: {err:.3e}"
+                assert err < tol, f"{cfg.arch}.{name}: {err:.3e}"
                 worst = max(worst, err)
 
     elapsed = time.time() - started

@@ -823,6 +823,21 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["experiment", "--spec", "{d}/short.spec", "--arch", "lstm",
+                  "--corpus-count", "40", "--seeds", "1", "--steps", "4",
+                  "--out-dir", "{d}/lstm-short"], id="experiment-max-seq-4"),
+    pytest.param(["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
+                  "--corpus", "{d}/long.txt"], id="eval-long-lines"),
+])
+def test_lstm_has_no_position_limit(bad_inputs, capsys, argv):
+    """max_seq limits the transformer alone: the spec of the too-long case and
+    the corpus of the eval-too-long case run on an LSTM."""
+    assert cli.main([a.format(d=bad_inputs) for a in argv]) == cli.EXIT_OK
+    if argv[0] == "eval":  # each word and EOS of long.txt is predicted: 3 + 26
+        assert "tokens=29" in capsys.readouterr().out
+
+
 _FLAG_VALUES = st.one_of(st.integers(-3, 9).map(str),
                          st.sampled_from(["nan", "inf", "-inf", "0.25", "0.9"]))
 # every drawn learning rate is either rejected or too small to diverge

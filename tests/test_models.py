@@ -5,6 +5,7 @@ import struct
 import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -343,10 +344,10 @@ def test_make_golden_reproduces_transformer_golden(tmp_path, monkeypatch):
 def test_checkpoint_round_trip(tmp_path):
     for cfg in (TINY_T, TINY_L):
         params = init_model(cfg)
-        path = tmp_path / f"{params.arch}.ckpt"
+        path = tmp_path / f"{cfg.arch}.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
-        assert loaded.arch == params.arch
+        assert loaded.config.arch == cfg.arch
         assert loaded.config == cfg
         assert set(loaded.tensors) == set(params.tensors)
         for name in params.tensors:
@@ -438,7 +439,7 @@ def test_checkpoint_rejects_non_utf8_string(tmp_path, body, offset, reason):
 def test_checkpoint_rejects_invalid_config_and_repeated_tensor(tmp_path):
     bad = TransformerConfig(layers=1, model_dim=4, heads=3, ff_dim=4, max_seq=4, vocab=8)
     path = tmp_path / "heads.ckpt"
-    save_checkpoint(ModelParameters("transformer", bad, {}), path)
+    save_checkpoint(ModelParameters(bad, {}), path)
     with pytest.raises(CheckpointError,
                        match=r"heads\.ckpt: config: model_dim 4 not divisible by heads 3$"):
         load_checkpoint(path)
@@ -458,13 +459,18 @@ class _LstmConfigPlus(LstmConfig):
     colour: int = 1
 
 
+@dataclass(frozen=True)
+class _TransformerConfigTaggedLstm(TransformerConfig):
+    arch: ClassVar[str] = "lstm"
+
+
 @pytest.mark.parametrize("config, message", [
     pytest.param(_LstmConfigPlus(), "config colour: not a key of the lstm config", id="unknown"),
-    pytest.param(TransformerConfig(), "config hidden_dim: missing", id="missing"),
+    pytest.param(_TransformerConfigTaggedLstm(), "config hidden_dim: missing", id="missing"),
 ])
 def test_checkpoint_config_keys_are_the_configs_fields(tmp_path, config, message):
     path = tmp_path / "keys.ckpt"
-    save_checkpoint(ModelParameters("lstm", config, {}), path)
+    save_checkpoint(ModelParameters(config, {}), path)
     with pytest.raises(CheckpointError, match=rf"keys\.ckpt: {message}$"):
         load_checkpoint(path)
 

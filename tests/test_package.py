@@ -1,8 +1,10 @@
-"""The package carries no code that only the tests reach, and no file check
-but its one file boundary."""
+"""The package carries no code that only the tests reach, no file check but
+its one file boundary, and no branch on an architecture's name."""
 
 import ast
 from pathlib import Path
+
+from langlab.models import CONFIG_TYPES
 
 SRC = Path(__file__).parent.parent / "src" / "langlab"
 
@@ -83,4 +85,23 @@ def test_no_ad_hoc_file_checks():
                     isinstance(t, ast.Name) and t.id == "FileNotFoundError"
                     for t in ast.walk(n.type)):
                 found.append(f"{path.name}:{n.lineno}: except FileNotFoundError")
+    assert found == []
+
+
+def test_no_branch_on_an_architecture():
+    """An architecture is declared once, by its config class in models.py,
+    and code asks the config (arch, max_seq, forward, ...) rather than which
+    architecture it is.  So no module compares a value with an architecture
+    name or asks isinstance of a config class."""
+    classes = {cls.__name__ for cls in CONFIG_TYPES.values()}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in CONFIG_TYPES
+                    for side in (n.left, *n.comparators) for c in ast.walk(side)):
+                found.append(f"{path.name}:{n.lineno}: compare with an arch name")
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "isinstance" and classes & _names(n)):
+                found.append(f"{path.name}:{n.lineno}: isinstance of a config class")
     assert found == []

@@ -230,17 +230,17 @@ def make_series(n):
 
 
 def test_window_half_of_hundred():
-    values = stabilized_window(make_series(100), 0.5)
+    values = stabilized_window(make_series(100), 0.5, "loss")
     assert len(values) == 50
     assert values[0] == 1.0 + 50
 
 
 def test_window_fraction_zero_is_whole_series():
-    assert len(stabilized_window(make_series(10), 0.0)) == 10
+    assert len(stabilized_window(make_series(10), 0.0, "loss")) == 10
 
 
 def test_window_fraction_099_keeps_last_record():
-    values = stabilized_window(make_series(10), 0.99)
+    values = stabilized_window(make_series(10), 0.99, "loss")
     assert values == [10.0]
 
 
@@ -252,9 +252,9 @@ def test_window_metric_selector():
 
 def test_window_rejects_bad_fraction_and_empty():
     with pytest.raises(ValueError):
-        stabilized_window(make_series(5), 1.0)
+        stabilized_window(make_series(5), 1.0, "loss")
     with pytest.raises(ValueError, match="empty"):
-        stabilized_window(MetricSeries(), 0.5)
+        stabilized_window(MetricSeries(), 0.5, "loss")
 
 
 # ------------------------------------------------------------------ p format

@@ -120,7 +120,7 @@ def test_adam_converges_on_quadratic():
     from langlab.models import ModelParameters
     from langlab.numcore import Tensor
     w = Tensor(rng.normal(size=12), requires_grad=True)
-    params = ModelParameters("lstm", LstmConfig(), {"w": w})
+    params = ModelParameters(LstmConfig(), {"w": w})
     opt = AdamOptimizer()
     for step in range(1, 201):
         grad = 2 * (w.data - target)
