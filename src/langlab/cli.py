@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
@@ -55,9 +55,9 @@ def _cmd_train(args) -> int:
     with harness.config_errors():  # the flags, before the corpus is read
         cfg.validate()
     vocab, encoded = _encode_corpus(args.corpus)
-    max_seq = max(max(map(len, encoded)), ExperimentSpec.max_seq)
-    model_cfg = harness.model_config(ExperimentSpec(arch=args.arch, max_seq=max_seq),
-                                     len(vocab), args.seed)
+    model_cfg = models.CONFIG_TYPES[args.arch](vocab=len(vocab), seed=args.seed)
+    if model_cfg.max_seq is not None:  # widened to the corpus's longest sentence
+        model_cfg = replace(model_cfg, max_seq=max(max(map(len, encoded)), model_cfg.max_seq))
     out_dir = Path(args.out_dir)
     series, _ = harness.train_run(model_cfg, encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")

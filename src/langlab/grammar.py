@@ -116,10 +116,6 @@ class Sentence(tuple):
     def words(self) -> tuple[str, ...]:
         return self
 
-    @property
-    def text(self) -> str:
-        return " ".join(self)
-
 
 @dataclass(frozen=True)
 class Grammar:

@@ -50,12 +50,12 @@ GROUP_TRANSFORMS = {
 }
 KNOWN_GROUPS = tuple(GROUP_TRANSFORMS)
 
-# experiment-id analogs: (corpus source, architecture)
+# experiment-id analogs: (architecture, whether the corpus is an external corpus_file)
 EXPERIMENT_PRESETS = {
-    "1": ("generated", "transformer"),
-    "2": ("external", "transformer"),
-    "3": ("generated", "lstm"),
-    "4": ("external", "lstm"),
+    "1": ("transformer", False),
+    "2": ("transformer", True),
+    "3": ("lstm", False),
+    "4": ("lstm", True),
 }
 
 
@@ -76,8 +76,7 @@ def config_errors():
 @dataclass(frozen=True)
 class ExperimentSpec:
     experiment: str = "custom"
-    corpus_source: str = "generated"  # generated | external
-    corpus_file: str | None = None
+    corpus_file: str | None = None  # an external corpus; None or "": a generated one
     corpus_count: int = 10000
     corpus_seed: int = 12345
     groups: tuple[str, ...] = KNOWN_GROUPS
@@ -86,27 +85,25 @@ class ExperimentSpec:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     stabilized_fraction: float = 0.5
     heldout_fraction: float = 0.05
-    max_seq: int = 16
     out_dir: str = "runs/out"
-    # desk-scale model shapes
-    t_layers: int = 2
-    t_dim: int = 64
-    t_heads: int = 2
-    t_ff: int = 256
-    l_layers: int = 1
-    l_embed: int = 64
-    l_hidden: int = 128
+    # model key of MODEL_KEYS[arch] -> value; a key not set keeps its config default
+    model: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.corpus_source not in ("generated", "external"):
-            raise ConfigError(f"unknown corpus_source: {self.corpus_source!r}")
-        if self.corpus_source == "external" and not self.corpus_file:
-            raise ConfigError("external corpus_source requires corpus_file")
-        if self.corpus_source == "generated" and self.corpus_file:
-            raise ConfigError(f"corpus_file {self.corpus_file!r} is set but corpus_source "
-                              f"is generated; use corpus_source = external")
+        external = EXPERIMENT_PRESETS.get(self.experiment, (None, None))[1]  # None: custom
+        if external and not self.corpus_file:
+            raise ConfigError(f"experiment {self.experiment} reads an external corpus; "
+                              f"set corpus_file")
+        if external is False and self.corpus_file:
+            raise ConfigError(f"experiment {self.experiment} generates its corpus, but "
+                              f"corpus_file {self.corpus_file!r} is set")
         if self.arch not in models.CONFIG_TYPES:
             raise ConfigError(f"unknown arch: {self.arch!r}")
+        for key in self.model:
+            if key not in MODEL_KEYS[self.arch]:
+                owner = next((a for a, keys in MODEL_KEYS.items() if key in keys), None)
+                raise ConfigError(f"{key}: a setting of the {owner} model, not the "
+                                  f"{self.arch}" if owner else f"unknown spec key: {key!r}")
         if not self.groups:
             raise ConfigError("at least one group is required")
         for g in self.groups:
@@ -127,7 +124,7 @@ class ExperimentSpec:
         if self.corpus_seed < 0:
             raise ConfigError(f"corpus_seed must be >= 0, got {self.corpus_seed}")
         with config_errors():  # every config a run builds, before it writes a file
-            if self.corpus_source == "generated":
+            if not self.corpus_file:
                 GenerationConfig(self.corpus_count, self.corpus_seed).validate()
             for seed in self.seeds:
                 dataclasses.replace(self.training, seed=seed).validate()
@@ -196,7 +193,7 @@ def _log(msg: str) -> None:
 
 
 def _load_base_corpus(spec: ExperimentSpec) -> list[Sentence]:
-    if spec.corpus_source == "generated":
+    if not spec.corpus_file:
         return generate_corpus(default_grammar(),
                                GenerationConfig(spec.corpus_count, spec.corpus_seed))
     return corpusio.read_corpus(spec.corpus_file, normalize=True)
@@ -211,19 +208,9 @@ def _split_indices(n: int, heldout_fraction: float, seed: int):
     return train, held
 
 
-# config class -> {field: the spec key that sets it}; vocab and seed come from the run
-_MODEL_KEYS = {
-    models.TransformerConfig: dict(layers="t_layers", model_dim="t_dim", heads="t_heads",
-                                   ff_dim="t_ff", max_seq="max_seq"),
-    models.LstmConfig: dict(layers="l_layers", hidden_dim="l_hidden", embed_dim="l_embed"),
-}
-
-
 def model_config(spec: ExperimentSpec, vocab: int, seed: int):
-    """The model config of spec.arch with the spec's shapes."""
-    cls = models.CONFIG_TYPES[spec.arch]
-    return cls(vocab=vocab, seed=seed,
-               **{name: getattr(spec, key) for name, key in _MODEL_KEYS[cls].items()})
+    """The model config of spec.arch with the spec's model settings."""
+    return models.CONFIG_TYPES[spec.arch](vocab=vocab, seed=seed, **spec.model)
 
 
 def train_run(model_cfg: models.TransformerConfig | models.LstmConfig,
@@ -367,6 +354,7 @@ def _spec_echo(spec: ExperimentSpec) -> dict:
     echo = dataclasses.asdict(spec)
     echo["groups"] = list(spec.groups)
     echo["seeds"] = list(spec.seeds)
+    echo["model"] = {**MODEL_KEYS[spec.arch], **spec.model}
     return echo
 
 
@@ -478,13 +466,21 @@ def load_report(run_dir: str | Path) -> RunReport:
 #
 # Declarative key = value format, one per line, '#' comments.  Lists are
 # comma-separated.  The keys are the fields of ExperimentSpec and
-# TrainingConfig but ``training`` and TrainingConfig.seed (each run's seed
-# comes from ``seeds``); the type of a field's default parses its value.
+# TrainingConfig but ``training``, ``model`` and TrainingConfig.seed (each
+# run's seed comes from ``seeds``), and the model keys of the spec's arch; the
+# type of a field's default parses its value.
 
 # spec key -> (config class, field default)
 SPEC_KEYS = {f.name: (cls, f.default)
-             for cls, skip in ((ExperimentSpec, "training"), (TrainingConfig, "seed"))
-             for f in dataclasses.fields(cls) if f.name != skip}
+             for cls, skip in ((ExperimentSpec, ("training", "model")),
+                               (TrainingConfig, ("seed",)))
+             for f in dataclasses.fields(cls) if f.name not in skip}
+
+# arch -> {model key: its default}: the fields of the arch's config but vocab
+# and seed, which each run sets
+MODEL_KEYS = {arch: {f.name: f.default for f in dataclasses.fields(cls)
+                     if f.name not in ("vocab", "seed")}
+              for arch, cls in models.CONFIG_TYPES.items()}
 
 
 def parse_spec_file(path: str | Path | None,
@@ -507,18 +503,22 @@ def parse_spec_file(path: str | Path | None,
 
 
 def build_spec(pairs: dict[str, str]) -> ExperimentSpec:
-    kwargs: dict[type, dict] = {ExperimentSpec: {}, TrainingConfig: {}}
+    """The spec of key = value pairs.  Its arch is the arch key, else the
+    experiment preset's, else the default; every key but a spec key is a model
+    key of that arch, as validate checks."""
+    preset = EXPERIMENT_PRESETS.get(pairs.get("experiment"), (ExperimentSpec.arch,))
+    arch = pairs.get("arch", preset[0])
+    kwargs: dict = {ExperimentSpec: {"arch": arch, "model": {}}, TrainingConfig: {}}
     for key, value in pairs.items():
-        if key not in SPEC_KEYS:
-            raise ConfigError(f"unknown spec key: {key!r}")
-        cls, default = SPEC_KEYS[key]
-        kwargs[cls][key] = _parse_value(key, value, default)
-    spec_kwargs = kwargs[ExperimentSpec]
-    if spec_kwargs.get("experiment") in EXPERIMENT_PRESETS:
-        source, arch = EXPERIMENT_PRESETS[spec_kwargs["experiment"]]
-        spec_kwargs.setdefault("corpus_source", source)
-        spec_kwargs.setdefault("arch", arch)
-    spec = ExperimentSpec(training=TrainingConfig(**kwargs[TrainingConfig]), **spec_kwargs)
+        if key in SPEC_KEYS:
+            cls, default = SPEC_KEYS[key]
+            kwargs[cls][key] = _parse_value(key, value, default)
+        else:  # a model key; one of no field of arch's config has no default to
+            # parse it by, so it stays a str and validate rejects it
+            kwargs[ExperimentSpec]["model"][key] = _parse_value(
+                key, value, MODEL_KEYS.get(arch, {}).get(key))
+    spec = ExperimentSpec(training=TrainingConfig(**kwargs[TrainingConfig]),
+                          **kwargs[ExperimentSpec])
     spec.validate()
     return spec
 

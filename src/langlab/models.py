@@ -146,8 +146,7 @@ class ModelParameters:
 
 def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
     """Seed-deterministic parameter initialization for either family."""
-    return ModelParameters(config, {name: Tensor(a, requires_grad=True)
-                                    for name, a in config.init_arrays().items()})
+    return ModelParameters(config, {name: Tensor(a) for name, a in config.init_arrays().items()})
 
 
 def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
@@ -307,7 +306,7 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name}: holds NaN or inf")
-        tensors[name] = Tensor(data.copy(), requires_grad=True)
+        tensors[name] = Tensor(data.copy())
     if pos != len(blob):
         raise CheckpointError(
             f"{path}: {len(blob) - pos} trailing bytes after the last tensor, "

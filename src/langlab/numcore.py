@@ -1,8 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 A Tape records every differentiable op it executes; Tape.backward consumes
-the record in reverse, accumulating gradients into every tensor on the path
-that requires them.  A record holds a gradient slot for the op's output, not
+the record in reverse, accumulating gradients into every leaf tensor on the
+path to the loss.  A record holds a gradient slot for the op's output, not
 the output itself, so an output's data lives only as long as its caller or a
 backward rule that saved it.  Backward drops each op's record, with the arrays
 its rule saved, and the gradient in the output's slot as soon as that rule has
@@ -83,18 +83,16 @@ class _Node:
     """The gradient slot of a recorded op output, held by the tape records
     in place of the output tensor, so the tape keeps no op output's data."""
     __slots__ = ("grad",)
-    requires_grad = True
 
     def __init__(self):
         self.grad: np.ndarray | None = None
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_node")
+    __slots__ = ("data", "grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._node: _Node | None = None  # set by the Tape that records this output
 
@@ -103,7 +101,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 # Backward rules receive the output gradient and return one gradient (or None)
@@ -124,19 +122,18 @@ class Tape:
     def _emit(self, out_data: np.ndarray, inputs: tuple[Tensor, ...],
               bwd: _BackwardFn) -> Tensor:
         out = Tensor(out_data)
-        if self.record and any(t.requires_grad for t in inputs):
-            out.requires_grad = True
+        if self.record:
             out._node = _Node()
             self._records.append((out._node, tuple(t._node or t for t in inputs), bwd))
         return out
 
     def backward(self, loss: Tensor) -> None:
-        """Populate .grad for every requires_grad leaf tensor reachable from
-        loss, consuming the tape: each record is popped, run and dropped.  The
-        records hold gradient slots, not op outputs, so an output's data
-        lives only as long as its caller or a rule that saved it, and only
-        leaf tensors get .grad.  The tape records nothing more, and a second
-        backward raises ValueError."""
+        """Populate .grad for every leaf tensor reachable from loss, consuming
+        the tape: each record is popped, run and dropped.  The records hold
+        gradient slots, not op outputs, so an output's data lives only as
+        long as its caller or a rule that saved it, and only leaf tensors get
+        .grad.  The tape records nothing more, and a second backward raises
+        ValueError."""
         if self._records is None:
             raise ValueError("backward: this tape was consumed by an earlier backward")
         if loss.shape != ():
@@ -153,7 +150,7 @@ class Tape:
             if g is None:
                 continue
             for t, gi in zip(inputs, bwd(g)):
-                if gi is None or not t.requires_grad:
+                if gi is None:
                     continue
                 # never in place: a backward rule may return one array for
                 # several inputs (add returns g twice)

@@ -21,7 +21,7 @@ def finite_difference_check(f, x: Tensor, h: float = 1e-5) -> float:
     base = x.data.copy()
 
     tape = Tape()
-    probe = Tensor(base.copy(), requires_grad=True)
+    probe = Tensor(base.copy())
     tape.backward(f(tape, probe))
     analytic = (probe.grad if probe.grad is not None
                 else np.zeros_like(base)).ravel()

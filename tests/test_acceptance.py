@@ -14,7 +14,7 @@ import pytest
 from langlab import models, tokenizer, training
 from langlab.corpusio import read_corpus
 from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
-from langlab.harness import ExperimentSpec, run_experiment
+from langlab.harness import ExperimentSpec, model_config, run_experiment
 from langlab.numcore import Tape, Tensor
 from langlab.stats import format_p, student_t_sf, welch_t_test
 from langlab.training import MetricSeries, TrainingConfig
@@ -94,9 +94,9 @@ def test_criterion_2_example_sentence_fidelity():
     par_odd = apply_transform(
         TransformKind.PARITY_NEGATION, sent("the girl is given cats")
     )
-    assert rev.text == "phones using are workers the"
-    assert par_even.text == "NOT the horse has enjoyed the school"
-    assert par_odd.text == "the girl is given cats NOT"
+    assert " ".join(rev) == "phones using are workers the"
+    assert " ".join(par_even) == "NOT the horse has enjoyed the school"
+    assert " ".join(par_odd) == "the girl is given cats NOT"
     verdict(2, True, "all three example sentences reproduce exactly")
 
 
@@ -323,9 +323,7 @@ def test_criterion_7_experiment3_lstm_analog(exp3_run):
     sentences = read_corpus(out / "corpora" / "natural.train.txt")
     vocab = tokenizer.build_vocabulary(sentences)
     encoded = [tokenizer.encode(vocab, s) for s in sentences]
-    params = models.init_model(models.LstmConfig(
-        layers=spec.l_layers, hidden_dim=spec.l_hidden, embed_dim=spec.l_embed,
-        vocab=len(vocab), seed=1))
+    params = models.init_model(model_config(spec, len(vocab), 1))
     import dataclasses
     cfg = dataclasses.replace(spec.training, seed=1)
     series, _ = training.train(params, encoded, cfg, group="natural")

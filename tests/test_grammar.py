@@ -184,12 +184,12 @@ def test_corpus_count(grammar):
 
 def test_three_sentences_seed7_oracle_checked(grammar):
     for s in generate_corpus(grammar, GenerationConfig(count=3, seed=7)):
-        assert oracle_parse(s.words) is not None, s.text
+        assert oracle_parse(s.words) is not None, " ".join(s)
 
 
 def test_generated_sentences_match_oracle_and_derive(grammar, small_corpus):
     for s in small_corpus:
-        assert oracle_parse(s.words) is not None, s.text
+        assert oracle_parse(s.words) is not None, " ".join(s)
 
 
 def test_surface_length_bounds(grammar, small_corpus):
@@ -250,7 +250,7 @@ def test_nonterminal_without_rules_raises_instead_of_drawing_forever():
 @given(seed=st.integers(min_value=0, max_value=2 ** 63 - 1))
 def test_any_seed_generates_derivable(grammar, seed):
     [s] = generate_corpus(grammar, GenerationConfig(count=1, seed=seed))
-    assert oracle_parse(s.words) is not None, s.text
+    assert oracle_parse(s.words) is not None, " ".join(s)
     assert 5 <= len(s.words) <= 8
 
 

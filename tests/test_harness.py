@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from langlab import cli, harness
+from langlab import cli, harness, models
 from langlab.corpusio import read_corpus, write_corpus
 from langlab.grammar import GenerationConfig, default_grammar, generate_corpus
 from langlab.harness import (
@@ -176,18 +176,26 @@ def test_spec_validation_errors(tmp_path):
         tiny_spec(tmp_path, groups=("reversed", "parity-negation")).validate()
     with pytest.raises(ConfigError, match="unknown group"):
         tiny_spec(tmp_path, groups=("natural", "shuffled")).validate()
-    with pytest.raises(ConfigError, match="corpus_file"):
-        tiny_spec(tmp_path, corpus_source="external").validate()
+    with pytest.raises(ConfigError, match="^experiment 2 reads an external corpus; set "
+                                          "corpus_file$"):
+        tiny_spec(tmp_path, experiment="2").validate()
     with pytest.raises(ConfigError, match="arch"):
         tiny_spec(tmp_path, arch="rnn").validate()
     with pytest.raises(ConfigError):
         tiny_spec(tmp_path, seeds=()).validate()
     with pytest.raises(ConfigError, match="duplicate seeds"):
         tiny_spec(tmp_path, seeds=(1, 1)).validate()
-    with pytest.raises(ConfigError, match="corpus_file 'x.txt' is set but corpus_source "
-                                          "is generated"):
-        tiny_spec(tmp_path, corpus_file="x.txt").validate()
+    with pytest.raises(ConfigError, match="^experiment 1 generates its corpus, but "
+                                          "corpus_file 'x.txt' is set$"):
+        tiny_spec(tmp_path, experiment="1", corpus_file="x.txt").validate()
+    tiny_spec(tmp_path, corpus_file="x.txt").validate()  # a custom experiment reads it
     tiny_spec(tmp_path, corpus_file="").validate()  # the README's empty corpus_file line
+    # a model key is a field of the arch's config, from a Python caller too
+    with pytest.raises(ConfigError, match="^max_seq: a setting of the transformer model, "
+                                          "not the lstm$"):
+        tiny_spec(tmp_path, arch="lstm", model={"max_seq": 4}).validate()
+    with pytest.raises(ConfigError, match="^unknown spec key: 'width'$"):
+        tiny_spec(tmp_path, model={"width": 4}).validate()
     with pytest.raises(ConfigError, match="eval_every 10 exceeds total_steps 4"):
         tiny_spec(tmp_path,
                   training=TrainingConfig(total_steps=4, eval_every=10)).validate()
@@ -199,8 +207,7 @@ def test_spec_validation_errors(tmp_path):
 
 
 def test_external_corpus_missing_file(tmp_path):
-    spec = tiny_spec(tmp_path, corpus_source="external",
-                     corpus_file=str(tmp_path / "absent.txt"))
+    spec = tiny_spec(tmp_path, corpus_file=str(tmp_path / "absent.txt"))
     with pytest.raises(InputError, match=r"absent\.txt: cannot read"):
         run_experiment(spec)
 
@@ -209,7 +216,7 @@ def test_external_corpus_normalization(tmp_path):
     raw = tmp_path / "raw.txt"
     raw.write_text("The girl is given cats.\nThe horse has enjoyed the school!\n")
     spec = tiny_spec(
-        tmp_path / "ext", corpus_source="external", corpus_file=str(raw),
+        tmp_path / "ext", corpus_file=str(raw),
         groups=("natural",), seeds=(1,), heldout_fraction=0.4,
         training=TrainingConfig(total_steps=2, batch_size=2),
     )
@@ -270,8 +277,8 @@ def test_parse_spec_file(tmp_path):
         f"out_dir = {tmp_path / 'o'}\n"
     )
     spec = parse_spec_file(path)
-    assert spec.corpus_source == "generated"  # preset from experiment 1
-    assert spec.arch == "transformer"
+    assert spec.arch == "transformer"  # preset from experiment 1
+    assert spec.corpus_file is None
     assert spec.seeds == (3, 4)
     assert spec.groups == ("natural", "reversed")
     assert spec.training.total_steps == 6
@@ -306,22 +313,35 @@ def test_parse_spec_missing_file(tmp_path):
         parse_spec_file(tmp_path / "absent.spec")
 
 
+def _readme_pairs(block: str) -> dict[str, str]:
+    """The key = value pairs of a README block; one line holds several keys:
+    a value ends where the next key starts."""
+    pairs = {}
+    for line in re.sub(r"#.*", "", block).splitlines():
+        pairs.update(re.findall(r"(\w+)\s*=\s*(.*?)\s*(?=\s\w+\s*=|$)", line))
+    return pairs
+
+
 def test_readme_spec_keys_match_spec_fields():
-    """The README's key block names every spec key, and only spec keys; the
-    keys are the fields of both configs but training and the per-run seed.
-    The block's values build a spec."""
+    """The README's first spec block names every spec key, and only spec
+    keys: the fields of both configs but training, model and the per-run
+    seed.  Each block after it names an arch and every model key of that
+    arch: its config's fields but vocab and seed.  Each with the first builds
+    a spec."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.sub(r"#.*", "", readme.split("## Experiment spec files", 1)[1].split("```")[1])
-    named = set(re.findall(r"(\w+)\s*=", block))
-    assert sorted(set(harness.SPEC_KEYS) - named) == []
-    assert sorted(named - set(harness.SPEC_KEYS)) == []
-    fields = ({f.name for f in dataclasses.fields(ExperimentSpec)} - {"training"}
+    blocks = readme.split("## Experiment spec files", 1)[1].split("```")
+    shared, *model_blocks = map(_readme_pairs, blocks[1:2 * len(harness.MODEL_KEYS) + 2:2])
+    assert sorted(shared) == sorted(harness.SPEC_KEYS)
+    fields = ({f.name for f in dataclasses.fields(ExperimentSpec)} - {"training", "model"}
               | {f.name for f in dataclasses.fields(TrainingConfig)} - {"seed"})
     assert set(harness.SPEC_KEYS) == fields
-    pairs = {}  # one line holds several keys: a value ends where the next key starts
-    for line in block.splitlines():
-        pairs.update(re.findall(r"(\w+)\s*=\s*(.*?)\s*(?=\s\w+\s*=|$)", line))
-    build_spec(pairs)
+    assert sorted(block["arch"] for block in model_blocks) == sorted(harness.MODEL_KEYS)
+    for block in model_blocks:
+        config = models.CONFIG_TYPES[block["arch"]]
+        assert sorted(block) == sorted(
+            {"arch"} | {f.name for f in dataclasses.fields(config)} - {"vocab", "seed"})
+        spec = build_spec({**shared, **block})
+        assert spec.model.keys() == harness.MODEL_KEYS[block["arch"]].keys()
 
 
 def test_build_spec_requires_valid_groups():
@@ -331,10 +351,12 @@ def test_build_spec_requires_valid_groups():
         build_spec({"groups": "reversed, parity-negation"})
 
 
-# the keys whose field default, or its first item for seeds, is a number
-_NUMERIC_KEYS = sorted(
+# the keys whose field default, or its first item for seeds, is a number: the
+# model keys of either arch among them
+_NUMERIC_KEYS = sorted({
     key for key, (_, default) in harness.SPEC_KEYS.items()
-    if isinstance(default[0] if isinstance(default, tuple) else default, (int, float)))
+    if isinstance(default[0] if isinstance(default, tuple) else default, (int, float))
+} | {key for keys in harness.MODEL_KEYS.values() for key in keys})
 
 
 # Values stay small: a spec that builds is initialised, so no draw may ask for a
@@ -360,9 +382,25 @@ def test_numeric_spec_value_is_rejected_or_runs(pairs, arch):
 @pytest.mark.parametrize("arch, config", [("transformer", TransformerConfig),
                                           ("lstm", LstmConfig)])
 def test_spec_shape_defaults_are_the_model_defaults(arch, config):
-    """langlab train builds a model config from its defaults, and its
-    checkpoint matches an experiment's only while the two sets agree."""
+    """A spec that sets no model key runs its config's defaults, as langlab
+    train does, so their checkpoints match."""
     assert model_config(ExperimentSpec(arch=arch), 11, 4) == config(vocab=11, seed=4)
+
+
+@pytest.mark.parametrize("pairs, config", [
+    ({"experiment": "1"}, TransformerConfig(layers=2, model_dim=64, heads=2, ff_dim=256,
+                                            max_seq=16, vocab=40, seed=3)),
+    ({"experiment": "2", "corpus_file": "c.txt"},
+     TransformerConfig(layers=2, model_dim=64, heads=2, ff_dim=256, max_seq=16, vocab=40,
+                       seed=3)),
+    ({"experiment": "3"}, LstmConfig(layers=1, hidden_dim=128, embed_dim=64, vocab=40,
+                                     seed=3)),
+    ({"experiment": "4", "corpus_file": "c.txt"},
+     LstmConfig(layers=1, hidden_dim=128, embed_dim=64, vocab=40, seed=3)),
+], ids=["1", "2", "3", "4"])
+def test_preset_model_configs(pairs, config):
+    """Each preset builds the desk-scale model it always has."""
+    assert model_config(build_spec(pairs), 40, 3) == config
 
 
 def test_cli_defaults_are_the_config_defaults():
@@ -406,8 +444,8 @@ def test_cli_train_eval_stats(tmp_path, capsys):
                      "--batch-size", "16", "--seed", "2",
                      "--out-dir", str(run)]) == 0
     assert (run / "metrics.csv").is_file()
-    # the corpus's longest sentence is shorter than the spec's max_seq floor
-    assert load_checkpoint(run / "model.ckpt").config.max_seq == ExperimentSpec().max_seq
+    # the corpus's longest sentence is shorter than the config's max_seq floor
+    assert load_checkpoint(run / "model.ckpt").config.max_seq == TransformerConfig.max_seq
     capsys.readouterr()  # drop the train summary before parsing eval output
     assert cli.main(["eval", "--checkpoint", str(run / "model.ckpt"),
                      "--vocab", str(run / "vocab.txt"),
@@ -492,7 +530,11 @@ def bad_inputs(tmp_path_factory):
     (d / "unknown.spec").write_text("bogus_key = 1\n")
     (d / "short.spec").write_text("max_seq = 4\n")
     (d / "nine.spec").write_text("experiment = 1\nmax_seq = 9\n")
-    (d / "heads.spec").write_text("t_heads = 3\n")
+    (d / "heads.spec").write_text("heads = 3\n")
+    (d / "lstm-short.spec").write_text("arch = lstm\nmax_seq = 4\n")
+    (d / "dim.spec").write_text("model_dim = 32\n")
+    (d / "hidden.spec").write_text("arch = transformer\nhidden_dim = 8\n")
+    (d / "source.spec").write_text("corpus_source = generated\n")
     (d / "dir").mkdir()  # a directory where a file is expected
     (d / "empty.txt").write_text("")
     (d / "blank.txt").write_text("\n\n\n")
@@ -624,11 +666,28 @@ _OS_ERROR_ON = r"^input error: \[Errno \d+\] [^:]+: '\S*"  # Python's message na
                   "--groups", "natural,reversed", "--out-dir", "{d}/dup"],
                  cli.EXIT_CONFIG, r"^configuration error: duplicate seeds in spec$",
                  id="experiment-duplicate-seeds"),
-    pytest.param(["experiment", "--corpus-file", "{d}/c.txt", "--corpus-count", "60",
+    pytest.param(["experiment", "--experiment", "1", "--corpus-file", "{d}/c.txt",
                   *_TINY_EXPERIMENT],
-                 cli.EXIT_CONFIG, r"^configuration error: corpus_file '\S*c\.txt' is set "
-                 r"but corpus_source is generated; use corpus_source = external$",
+                 cli.EXIT_CONFIG, r"^configuration error: experiment 1 generates its corpus, "
+                 r"but corpus_file '\S*c\.txt' is set$",
                  id="experiment-corpus-file-generated"),
+    pytest.param(["experiment", "--experiment", "2", *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
+                 r"^configuration error: experiment 2 reads an external corpus; set "
+                 r"corpus_file$", id="experiment-external-without-corpus-file"),
+    # a model key of the other architecture, whichever way the arch is set
+    pytest.param(["experiment", "--spec", "{d}/lstm-short.spec", *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: max_seq: a setting of the "
+                 r"transformer model, not the lstm$", id="lstm-max-seq"),
+    pytest.param(["experiment", "--experiment", "3", "--spec", "{d}/dim.spec",
+                  *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: model_dim: a setting of the "
+                 r"transformer model, not the lstm$", id="lstm-model-dim"),
+    pytest.param(["experiment", "--spec", "{d}/hidden.spec", *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: hidden_dim: a setting of the "
+                 r"lstm model, not the transformer$", id="transformer-hidden-dim"),
+    pytest.param(["experiment", "--spec", "{d}/source.spec", *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: unknown spec key: 'corpus_source'$",
+                 id="corpus-source-key"),
     # 4 records: a start fraction of 0.9 leaves the last one alone
     pytest.param(["stats", "--a", "{d}/four.csv", "--b", "{d}/four.csv",
                   "--start-fraction", "0.9"],
@@ -823,19 +882,23 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, code", [
     pytest.param(["experiment", "--spec", "{d}/short.spec", "--arch", "lstm",
                   "--corpus-count", "40", "--seeds", "1", "--steps", "4",
-                  "--out-dir", "{d}/lstm-short"], id="experiment-max-seq-4"),
+                  "--out-dir", "{d}/lstm-short"], cli.EXIT_CONFIG, id="experiment-max-seq-4"),
     pytest.param(["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
-                  "--corpus", "{d}/long.txt"], id="eval-long-lines"),
+                  "--corpus", "{d}/long.txt"], cli.EXIT_OK, id="eval-long-lines"),
 ])
-def test_lstm_has_no_position_limit(bad_inputs, capsys, argv):
-    """max_seq limits the transformer alone: the spec of the too-long case and
-    the corpus of the eval-too-long case run on an LSTM."""
-    assert cli.main([a.format(d=bad_inputs) for a in argv]) == cli.EXIT_OK
+def test_lstm_has_no_position_limit(bad_inputs, capsys, argv, code):
+    """max_seq is the transformer's alone: the spec of the too-long case is a
+    configuration error on an LSTM, which writes nothing, and the corpus of
+    the eval-too-long case runs on one."""
+    assert cli.main([a.format(d=bad_inputs) for a in argv]) == code
     if argv[0] == "eval":  # each word and EOS of long.txt is predicted: 3 + 26
         assert "tokens=29" in capsys.readouterr().out
+    else:
+        assert "max_seq: a setting of the transformer model" in capsys.readouterr().err
+        assert not (bad_inputs / "lstm-short").exists()
 
 
 _FLAG_VALUES = st.one_of(st.integers(-3, 9).map(str),

@@ -115,21 +115,21 @@ def test_cross_entropy_nonnegative():
 
 def test_backward_sum_gives_ones():
     tape = Tape()
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(3, 4)))
     tape.backward(dot(tape, x, Tensor(np.ones((3, 4)))))
     assert np.array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_dot_square():
     tape = Tape()
-    x = Tensor(RNG.normal(size=(5,)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(5,)))
     tape.backward(dot(tape, x, x))
     assert np.allclose(x.grad, 2 * x.data, atol=1e-15)
 
 
 def test_backward_requires_scalar():
     tape = Tape()
-    x = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(2, 2)))
     y = tape.add(x, x)
     with pytest.raises(ValueError, match="scalar"):
         tape.backward(y)
@@ -137,15 +137,15 @@ def test_backward_requires_scalar():
 
 def test_gradient_accumulates_over_reuse():
     tape = Tape()
-    x = Tensor(np.array(3.0), requires_grad=True)
+    x = Tensor(np.array(3.0))
     tape.backward(tape.add(x, x))
     assert x.grad == pytest.approx(2.0)
 
 
 def test_backward_leaves_grad_on_leaves_only():
     tape = Tape()
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(3, 4)))
+    w = Tensor(RNG.normal(size=(3, 4)))
     y = tape.gelu(x)
     loss = dot(tape, y, w)
     tape.backward(loss)
@@ -155,7 +155,7 @@ def test_backward_leaves_grad_on_leaves_only():
 
 def test_backward_consumes_the_tape():
     tape = Tape()
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(3, 4)))
     loss = dot(tape, tape.gelu(x), Tensor(np.ones((3, 4))))
     tape.backward(loss)
     grad = x.grad
@@ -175,9 +175,9 @@ def test_tape_keeps_no_op_output_a_rule_did_not_save():
     linear output that goes only to causal_attention (which saves its own
     padded copies); backward still reaches the leaves through the slots."""
     tape = Tape()
-    x = Tensor(RNG.normal(size=(6, 4)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
-    b = Tensor(RNG.normal(size=4), requires_grad=True)
+    x = Tensor(RNG.normal(size=(6, 4)))
+    w = Tensor(RNG.normal(size=(4, 4)))
+    b = Tensor(RNG.normal(size=4))
     s = tape.add(x, x)
     dead = _refs(s.data)
     q = tape.linear(tape.add(s, x), w, b)
@@ -199,7 +199,7 @@ def test_saved_input_lives_until_backward_pops_its_record():
         return tape._emit(t.data.copy(), (t,),
                           lambda g: (seen.append(ref() is not None), (g,))[1])
 
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(3, 4)))
     a = noting(x)  # its rule runs after gelu's
     ref = weakref.ref(a.data)
     y = noting(tape.gelu(a))  # its rule runs before gelu's
@@ -356,7 +356,7 @@ def fd_scaled(f, x, h=1e-5):
     the per-head loop of primitive ops too.
     """
     tape = Tape()
-    probe = Tensor(x.data.copy(), requires_grad=True)
+    probe = Tensor(x.data.copy())
     tape.backward(f(tape, probe))
     numeric = np.empty_like(x.data)
     for i in np.ndindex(x.shape):
@@ -419,7 +419,7 @@ def test_causal_attention_matches_per_head_loop():
     results = []
     for op in (full_attention, _per_head_attention):
         tape = Tape()
-        qkv = [Tensor(x.copy(), requires_grad=True) for x in data]
+        qkv = [Tensor(x.copy()) for x in data]
         out = op(tape, *qkv, 4)
         tape.backward(dot(tape, out, w))
         results.append([out.data] + [x.grad for x in qkv])
@@ -541,7 +541,7 @@ def test_lstm_layer_matches_per_step_loop():
     results = []
     for op in (full_lstm, _per_step_lstm):
         tape = Tape()
-        args = [Tensor(a.copy(), requires_grad=True) for a in data]
+        args = [Tensor(a.copy()) for a in data]
         out = op(tape, *args)
         tape.backward(dot(tape, out, w))
         results.append([out.data] + [a.grad for a in args])
@@ -561,8 +561,8 @@ def test_lstm_layer_ragged_matches_per_step_loop(lengths):
     results = []
     for packed in (True, False):
         tape = Tape()
-        args = [Tensor(data[0][keep] if packed else data[0], requires_grad=True)]
-        args += [Tensor(a, requires_grad=True) for a in data[1:]]
+        args = [Tensor(data[0][keep] if packed else data[0])]
+        args += [Tensor(a) for a in data[1:]]
         if packed:
             out = tape.lstm_layer(*args, keep)
         else:
@@ -703,7 +703,7 @@ def _grads_of(op, data, weights):
     """Output and input gradients of sum(op(*inputs) * weights); the weights
     reach op's backward bit for bit (1.0 * w)."""
     tape = Tape()
-    inputs = [Tensor(a.copy(), requires_grad=True) for a in data]
+    inputs = [Tensor(a.copy()) for a in data]
     out = op(tape, *inputs)
     tape.backward(dot(tape, out, Tensor(weights)))
     return [out.data] + [t.grad for t in inputs]
@@ -767,7 +767,7 @@ def test_cross_entropy_grad_bit_identical_to_unbuffered_formula():
     logits = RNG.normal(scale=3.0, size=(21, 11))
     targets = RNG.integers(0, 11, size=21)  # 21 targets: p / 21 and p * (1 / 21) differ
     tape = Tape()
-    probe = Tensor(logits.copy(), requires_grad=True)
+    probe = Tensor(logits.copy())
     tape.backward(tape.cross_entropy(probe, targets))
     m = logits.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))

@@ -176,7 +176,7 @@ def test_value_types_are_slotted_and_copyable(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert twin == value and type(twin) is type(value)
         assert hash(twin) == hash(value)
-        assert twin.words == ("the", "dog") and twin.text == "the dog"
+        assert twin.words == ("the", "dog") and " ".join(twin) == "the dog"
 
 
 # ------------------------------------------------------------- corpus records
@@ -190,7 +190,7 @@ def test_sentence_is_the_size_of_its_tuple(words):
     s = Sentence(words)
     assert sys.getsizeof(s) == sys.getsizeof(tuple(words))
     assert s == tuple(words) and s.words is s
-    assert s.text == " ".join(words)
+    assert " ".join(s) == " ".join(words)
 
 
 def test_corpus_producers_return_sentences_and_encode_plain_tuples(tmp_path, grammar):

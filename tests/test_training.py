@@ -119,7 +119,7 @@ def test_adam_converges_on_quadratic():
     target = rng.normal(size=12)
     from langlab.models import ModelParameters
     from langlab.numcore import Tensor
-    w = Tensor(rng.normal(size=12), requires_grad=True)
+    w = Tensor(rng.normal(size=12))
     params = ModelParameters(LstmConfig(), {"w": w})
     opt = AdamOptimizer()
     for step in range(1, 201):

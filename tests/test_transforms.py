@@ -34,19 +34,19 @@ words_strategy = st.lists(
 
 def test_reverse_example():
     out = apply_transform(TransformKind.REVERSE, sent("the workers are using phones"))
-    assert out.text == "phones using are workers the"
+    assert " ".join(out) == "phones using are workers the"
 
 
 def test_parity_even_prepends():
     out = apply_transform(
         TransformKind.PARITY_NEGATION, sent("the horse has enjoyed the school")
     )
-    assert out.text == "NOT the horse has enjoyed the school"
+    assert " ".join(out) == "NOT the horse has enjoyed the school"
 
 
 def test_parity_odd_appends():
     out = apply_transform(TransformKind.PARITY_NEGATION, sent("the girl is given cats"))
-    assert out.text == "the girl is given cats NOT"
+    assert " ".join(out) == "the girl is given cats NOT"
 
 
 def test_identity_returns_same_sentence():
@@ -149,10 +149,10 @@ def test_transform_file_round_trip(tmp_path, small_corpus):
 @pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
 def test_transform_file_matches_per_sentence_reference(tmp_path, small_corpus, kind):
     src, out = tmp_path / "src.txt", tmp_path / "out.txt"
-    src.write_text("\n".join(["the girl runs", ""] + [s.text for s in small_corpus])
+    src.write_text("\n".join(["the girl runs", ""] + [" ".join(s) for s in small_corpus])
                    + "\n")  # a blank line is skipped, not transformed
     transform_file(kind, src, out)
-    expected = "".join(apply_transform(kind, s).text + "\n"
+    expected = "".join(" ".join(apply_transform(kind, s)) + "\n"
                        for s in read_corpus(src))
     assert out.read_text(encoding="utf-8") == expected
 
