@@ -505,7 +505,8 @@ def parse_spec_file(path: str | Path | None,
 def build_spec(pairs: dict[str, str]) -> ExperimentSpec:
     """The spec of key = value pairs.  Its arch is the arch key, else the
     experiment preset's, else the default; every key but a spec key is a model
-    key of that arch, as validate checks."""
+    key of that arch, as validate checks.  A corpus_count key with a
+    corpus_file is an error: the file is read whole."""
     preset = EXPERIMENT_PRESETS.get(pairs.get("experiment"), (ExperimentSpec.arch,))
     arch = pairs.get("arch", preset[0])
     kwargs: dict = {ExperimentSpec: {"arch": arch, "model": {}}, TrainingConfig: {}}
@@ -520,6 +521,9 @@ def build_spec(pairs: dict[str, str]) -> ExperimentSpec:
     spec = ExperimentSpec(training=TrainingConfig(**kwargs[TrainingConfig]),
                           **kwargs[ExperimentSpec])
     spec.validate()
+    if spec.corpus_file and "corpus_count" in pairs:
+        raise ConfigError(f"corpus_count {spec.corpus_count} is set, but corpus_file "
+                          f"{spec.corpus_file!r} is read whole")
     return spec
 
 

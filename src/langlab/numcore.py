@@ -21,6 +21,11 @@ causal_attention and lstm_layer take padding-free packed rows: one row per
 kept position, batch-major, the kept positions of each sequence a prefix of
 it, named by a [batch, seq] mask.
 
+A recorded op keeps only what its backward reads.  gelu keeps its derivative
+dy/dx, not its input, and cross_entropy its gradient (softmax minus one-hot),
+not the logits; their backward rules scale that array in place and return it,
+so neither allocates one.
+
 Freeing saved arrays mid-step would make glibc hand every buffer of 128 KB or
 more back to the OS and fault it in again on its next use, so on import the
 module fixes malloc's mmap threshold at 32 MiB and its trim threshold at
@@ -39,6 +44,7 @@ __all__ = ["Tensor", "Tape", "ShapeError", "MASK_FILL"]
 
 MASK_FILL = -1e9  # finite, exp(masked - max) underflows to exactly 0.0
 _LN_EPS = 1e-5  # added to layer_norm's variance
+_GELU_ROWS = 64  # rows per gelu block
 
 
 class ShapeError(ValueError):
@@ -164,39 +170,48 @@ class Tape:
         return self._emit(a.data + b.data, (a, b), lambda g: (g, g))
 
     def gelu(self, a: Tensor) -> Tensor:
-        """Gaussian error linear unit, tanh approximation."""
-        x = a.data
+        """Gaussian error linear unit, tanh approximation.  Walks blocks of
+        _GELU_ROWS rows (last-axis rows), so its one temporary is block-sized;
+        a recorded call also writes dy/dx, which is all its rule keeps."""
         c = math.sqrt(2.0 / math.pi)
-        # t = tanh(c * (x + 0.044715 * (x * x * x))), built in one buffer;
-        # x * x * x, not x ** 3: numpy's float pow is ~40x slower
-        t = x * x
-        t *= x
-        t *= 0.044715
-        t += x
-        t *= c
-        np.tanh(t, out=t)
-        y = 1.0 + t
-        y *= 0.5 * x
+        x = a.data.reshape(-1)
+        y = np.empty(a.shape)
+        dy = np.empty(a.shape) if self.record else None
+        step = _GELU_ROWS * (a.shape[-1] if a.shape else 1) or 1
+        block = np.empty(min(step, x.size))
+        for lo in range(0, x.size, step):
+            xb = x[lo:lo + step]
+            yb = y.reshape(-1)[lo:lo + step]
+            t = block[:xb.size]
+            # t = tanh(c * (x + 0.044715 * (x * x * x))), built in one buffer;
+            # x * x * x, not x ** 3: numpy's float pow is ~40x slower
+            np.multiply(xb, xb, out=t)
+            t *= xb
+            t *= 0.044715
+            t += xb
+            t *= c
+            np.tanh(t, out=t)
+            if dy is not None:
+                # dy/dx = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du,
+                # du = c * (1 + 3 * 0.044715 * (x * x)); yb holds the second term
+                d = dy.reshape(-1)[lo:lo + step]
+                np.multiply(t, t, out=d)
+                np.subtract(1.0, d, out=d)
+                np.multiply(xb, 0.5, out=yb)
+                yb *= d
+                np.multiply(xb, xb, out=d)
+                d *= 3 * 0.044715
+                d += 1.0
+                d *= c
+                yb *= d
+                np.add(t, 1.0, out=d)
+                d *= 0.5
+                d += yb
+            np.add(t, 1.0, out=yb)
+            np.multiply(xb, 0.5, out=t)
+            yb *= t  # 0.5 * x * (1 + t)
 
-        def bwd(g):
-            # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * du) in two buffers,
-            # du = c * (1 + 3 * 0.044715 * (x * x))
-            d = t * t
-            np.subtract(1.0, d, out=d)
-            e = np.multiply(x, 0.5)
-            e *= d
-            np.multiply(x, x, out=d)
-            d *= 3 * 0.044715
-            d += 1.0
-            d *= c
-            e *= d
-            np.add(t, 1.0, out=d)
-            d *= 0.5
-            d += e
-            d *= g
-            return (d,)
-
-        return self._emit(y, (a,), bwd)
+        return self._emit(y, (a,), lambda g: (np.multiply(dy, g, out=dy),))
 
     # ------------------------------------------------------- structural ops
 
@@ -415,16 +430,14 @@ class Tape:
             raise ValueError("cross_entropy: target id out of range")
         x, rows = logits.data, np.arange(n)
         m = x.max(axis=-1, keepdims=True)
-        e = x - m
-        np.exp(e, out=e)
-        lse = m + np.log(e.sum(axis=-1, keepdims=True))
+        p = x - m
+        np.exp(p, out=p)
+        lse = m + np.log(p.sum(axis=-1, keepdims=True))
         loss = -(x[rows, targets] - lse[:, 0]).sum() / n
-
-        def bwd(g):
-            p = x - lse
+        if self.record:  # p = softmax - one-hot, the gradient of n * loss
+            np.subtract(x, lse, out=p)
             np.exp(p, out=p)
             p[rows, targets] -= 1.0
-            p *= float(g) / n
-            return (p,)
 
-        return self._emit(np.asarray(loss), (logits,), bwd)
+        return self._emit(np.asarray(loss), (logits,),
+                          lambda g: (np.multiply(p, float(g) / n, out=p),))

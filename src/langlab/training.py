@@ -245,7 +245,7 @@ def train(
         tape = Tape()
         logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))
         loss = tape.cross_entropy(logits, batch[:, 1:][keep])
-        del logits  # backward frees them with the loss record
+        del logits  # the loss record keeps their gradient, not them
         loss_value = float(loss.data)
         if not loss_value < _MAX_LOSS:
             bad = [n for n, t in params.tensors.items() if not np.isfinite(t.data).all()]

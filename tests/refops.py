@@ -1,8 +1,10 @@
 """What only the tests use of a Tape: the finite-difference gradient check,
-the loss reduction of the gradient checks and the primitive rules the unfused
-references are built from.  Each rule is a free function of a Tape that
-records through Tape._emit, like the library's own ops, so
-finite_difference_check can run it on the Tapes it makes."""
+the loss reduction of the gradient checks, the primitive rules the unfused
+references are built from and gelu's unblocked rule.  Each rule is a free
+function of a Tape that records through Tape._emit, like the library's own
+ops, so finite_difference_check can run it on the Tapes it makes."""
+
+import math
 
 import numpy as np
 
@@ -66,6 +68,19 @@ def tanh(t, a):
 def sigmoid(t, a):
     y = _sigmoid(a.data)
     return t._emit(y, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def gelu(t, a):
+    """Tape.gelu unblocked: whole-array temporaries, and dy/dx formed in the
+    rule from the saved input and tanh."""
+    x, c = a.data, math.sqrt(2.0 / math.pi)
+    th = np.tanh(c * (x + 0.044715 * (x * x * x)))
+
+    def bwd(g):
+        du = c * (1.0 + 3 * 0.044715 * (x * x))
+        return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du),)
+
+    return t._emit(0.5 * x * (1.0 + th), (a,), bwd)
 
 
 def add_bias(t, a, b):

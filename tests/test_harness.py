@@ -535,6 +535,7 @@ def bad_inputs(tmp_path_factory):
     (d / "dim.spec").write_text("model_dim = 32\n")
     (d / "hidden.spec").write_text("arch = transformer\nhidden_dim = 8\n")
     (d / "source.spec").write_text("corpus_source = generated\n")
+    (d / "count.spec").write_text("corpus_count = 5\n")
     (d / "dir").mkdir()  # a directory where a file is expected
     (d / "empty.txt").write_text("")
     (d / "blank.txt").write_text("\n\n\n")
@@ -674,6 +675,15 @@ _OS_ERROR_ON = r"^input error: \[Errno \d+\] [^:]+: '\S*"  # Python's message na
     pytest.param(["experiment", "--experiment", "2", *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
                  r"^configuration error: experiment 2 reads an external corpus; set "
                  r"corpus_file$", id="experiment-external-without-corpus-file"),
+    # a corpus_file is read whole: a corpus_count beside it, flag or key, is refused
+    pytest.param(["experiment", "--corpus-file", "{d}/c.txt", "--corpus-count", "5",
+                  *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
+                 r"^configuration error: corpus_count 5 is set, but corpus_file "
+                 r"'\S*c\.txt' is read whole$", id="corpus-count-flag-with-corpus-file"),
+    pytest.param(["experiment", "--experiment", "2", "--spec", "{d}/count.spec",
+                  "--corpus-file", "{d}/c.txt", *_TINY_EXPERIMENT], cli.EXIT_CONFIG,
+                 r"^configuration error: corpus_count 5 is set, but corpus_file "
+                 r"'\S*c\.txt' is read whole$", id="corpus-count-key-with-corpus-file"),
     # a model key of the other architecture, whichever way the arch is set
     pytest.param(["experiment", "--spec", "{d}/lstm-short.spec", *_TINY_EXPERIMENT],
                  cli.EXIT_CONFIG, r"^configuration error: max_seq: a setting of the "

@@ -226,8 +226,9 @@ def test_backward_peak_memory_stays_near_the_forward_tape():
 
 
 def _traced_step(cfg):
-    """(bytes held after forward, peak bytes during backward) of one training
-    step of the test above's shape under tracemalloc."""
+    """(bytes held after forward, peak bytes during forward, peak bytes
+    during backward) of one training step of the test above's shape under
+    tracemalloc; the parameters are not counted."""
     params = init_model(cfg)
     ids = np.random.default_rng(0).integers(4, 128, size=(64, 11))
     tracemalloc.start()
@@ -236,28 +237,42 @@ def _traced_step(cfg):
         logits = forward(params, ids[:, :-1], tape, np.full(64, 10))
         loss = tape.cross_entropy(logits, ids[:, 1:].ravel())
         del logits
-        held = tracemalloc.get_traced_memory()[0]
+        held, forward_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         tape.backward(loss)
-        return held, tracemalloc.get_traced_memory()[1]
+        return held, forward_peak, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_transformer_tape_holds_only_saved_arrays():
     """The tape keeps no op output that no backward rule saved (residual adds,
-    the packed q/k/v, the attention and feed-forward output projections): a
-    transformer step of the experiment shape holds at most 16 MB after
-    forward (20.3 MB when the tape keeps every output)."""
-    held, _ = _traced_step(TransformerConfig(seed=1))
-    assert held <= 16e6, f"{held} bytes held after forward"
+    the packed q/k/v, the attention and feed-forward output projections), and
+    a record keeps only what its rule reads (gelu its derivative, not its
+    input and tanh; cross_entropy its gradient, not the logits): a
+    transformer step of the experiment shape holds at most 13 MB after
+    forward (12.07 MB; 14.71 MB when gelu and cross_entropy kept their
+    inputs, 20.3 MB when the tape keeps every output)."""
+    held, _, _ = _traced_step(TransformerConfig(seed=1))
+    assert held <= 13e6, f"{held} bytes held after forward"
+
+
+def test_transformer_step_peak_memory():
+    """gelu's temporaries are row blocks and the gelu and cross_entropy rules
+    allocate no array, so neither half of a transformer step of the
+    experiment shape peaks above 14.5 MB (13.51 MB forward, 13.25 MB
+    backward; 15.99 and 17.19 MB with whole-array gelu temporaries and
+    rules that allocate their gradients)."""
+    _, forward_peak, backward_peak = _traced_step(TransformerConfig(seed=1))
+    assert forward_peak <= 14.5e6, f"forward peak {forward_peak} bytes"
+    assert backward_peak <= 14.5e6, f"backward peak {backward_peak} bytes"
 
 
 def test_lstm_backward_writes_gate_gradients_over_the_activations():
     """lstm_layer's backward reuses the activation slab for the gate
     gradients: the LSTM backward peak stays within 1.5x of the memory held
     after forward (1.9x with a fresh gradient slab)."""
-    held, peak = _traced_step(LstmConfig(seed=1))
+    held, _, peak = _traced_step(LstmConfig(seed=1))
     assert peak <= 1.5 * held, f"peak {peak} bytes, {peak / held:.2f}x the {held} after forward"
 
 
