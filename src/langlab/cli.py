@@ -129,7 +129,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:
-        print(harness.render_text_report(report))
+        print(harness.render_text_report(report), end="")  # the text of report.txt
     return EXIT_OK
 
 
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peak-lr", type=float, default=TrainingConfig.peak_lr)
     p.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
     p.add_argument("--warmup-fraction", type=float, default=TrainingConfig.warmup_fraction)
-    p.add_argument("--eval-every", type=int, default=TrainingConfig.eval_every)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 

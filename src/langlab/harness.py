@@ -130,8 +130,7 @@ class ExperimentSpec:
                 dataclasses.replace(self.training, seed=seed).validate()
                 model_config(self, 1, seed).validate()  # the corpus sets the vocab
         if len(self.groups) >= 2:
-            # train() logs every eval_every-th step
-            records = self.training.total_steps // self.training.eval_every
+            records = self.training.total_steps  # train() logs every step
             samples = len(self.seeds) * (
                 records - stats.stabilized_start(records, self.stabilized_fraction))
             if samples < 2:
@@ -183,6 +182,8 @@ class RunReport:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunReport":
         groups = {g: GroupResult(**r) for g, r in data["groups"].items()}
+        # in the run's order, which the spec echo keeps: the file sorts its keys
+        groups = {g: groups[g] for g in data.get("spec", {}).get("groups", groups)}
         lin = LinearitySummary(**data["linearity"]) if data.get("linearity") else None
         return cls(data["experiment"], data["arch"], groups,
                    data["comparisons"], lin, data.get("spec", {}))

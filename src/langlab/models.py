@@ -2,16 +2,16 @@
 
 Each architecture is declared once, by its config class: its name (arch, the
 checkpoint tag), position limit (max_seq; None: none), parameter shapes (of a
-config they validate), initializer and forward.  A forward maps token ids
-[batch, positions] and lengths [batch] to the next-token logits of the
-positions t < lengths[i] of each row i, packed batch-major as [sum(lengths),
-vocab]; np.full(batch, positions) keeps every position.  Both models are causal
-(position i sees positions <= i) and compute on packed rows.  The transformer:
-learned positional embeddings, pre-layer-norm blocks, masked multi-head
-attention, a gelu feed-forward, Tape.linear projections and a Tape.unembed
-output projection tied to the token embedding.  The LSTM: one fused
-Tape.lstm_layer op per layer (gates input, forget, cell, output) steps each
-sequence only through its own length, then a Tape.linear output projection.
+config they validate), initializer and forward.  A forward maps rows of token
+ids, each row its own length, to the next-token logits of every position,
+packed one row after another as [total ids, vocab].  Both models are causal
+(position i sees positions <= i) and compute on the packed rows alone, with no
+padding.  The transformer: learned positional embeddings, pre-layer-norm
+blocks, masked multi-head attention, a gelu feed-forward, Tape.linear
+projections and a Tape.unembed output projection tied to the token embedding.
+The LSTM: one fused Tape.lstm_layer op per layer (gates input, forget, cell,
+output) steps each row only through its own length, then a Tape.linear output
+projection.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import corpusio
-from .numcore import ShapeError, Tape, Tensor
+from .numcore import Tape, Tensor
 
 __all__ = [
     "TransformerConfig",
@@ -89,8 +90,8 @@ class TransformerConfig:
                        if kind[0] == "b" else rng.normal(0.0, 0.02, shape))
         return p
 
-    def forward(self, params, ids, tape, lengths) -> Tensor:
-        return transformer_forward(params, ids, tape, lengths)
+    def forward(self, params, rows, tape) -> Tensor:
+        return transformer_forward(params, rows, tape)
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,8 @@ class LstmConfig:
                 p[name] = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), shape)
         return p
 
-    def forward(self, params, ids, tape, lengths) -> Tensor:
-        return lstm_forward(params, ids, tape, lengths)
+    def forward(self, params, rows, tape) -> Tensor:
+        return lstm_forward(params, rows, tape)
 
 
 # architecture name -> its config class: the one list of architectures
@@ -149,25 +150,23 @@ def init_model(config: TransformerConfig | LstmConfig) -> ModelParameters:
     return ModelParameters(config, {name: Tensor(a) for name, a in config.init_arrays().items()})
 
 
-def _keep_mask(ids: np.ndarray, lengths) -> np.ndarray:
-    """[batch, seq] mask of the first lengths[i] positions of each row i."""
-    batch, seq = np.shape(ids)
-    lengths = np.asarray(lengths)
-    if lengths.shape != (batch,) or ((lengths < 0) | (lengths > seq)).any():
-        raise ShapeError(f"lengths {lengths.tolist()} must be {batch} counts in 0..{seq}")
-    return np.arange(seq) < lengths[:, None]
+def _packed(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of rows, one row after another, and the [batch, seq] mask of
+    the positions of each row, a prefix of it."""
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    return np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum()), keep
 
 
-def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
-                        lengths) -> Tensor:
+def transformer_forward(params: ModelParameters, rows: Sequence[Sequence[int]],
+                        tape: Tape) -> Tensor:
     """Packed logits under causal masked attention."""
     cfg: TransformerConfig = params.config
     p = params.tensors
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape[1] > cfg.max_seq:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq {cfg.max_seq}")
-    keep = _keep_mask(ids, lengths)
-    x = tape.add(tape.embedding_lookup(p["tok_emb"], ids[keep]),
+    ids, keep = _packed(rows)
+    if keep.shape[1] > cfg.max_seq:
+        raise ValueError(f"sequence length {keep.shape[1]} exceeds max_seq {cfg.max_seq}")
+    x = tape.add(tape.embedding_lookup(p["tok_emb"], ids),
                  tape.embedding_lookup(p["pos_emb"], np.nonzero(keep)[1]))
 
     def linear(t, w, b):  # parameters of the current layer, prefix pre
@@ -190,19 +189,20 @@ def transformer_forward(params: ModelParameters, ids: np.ndarray, tape: Tape,
     return tape.unembed(x, p["tok_emb"])
 
 
-def lstm_forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Tensor:
+def lstm_forward(params: ModelParameters, rows: Sequence[Sequence[int]],
+                 tape: Tape) -> Tensor:
     """Packed logits from the stacked LSTM recurrence."""
     cfg: LstmConfig = params.config
     p = params.tensors
-    keep = _keep_mask(ids, lengths)
-    x = tape.embedding_lookup(p["embed"], np.asarray(ids)[keep])
+    ids, keep = _packed(rows)
+    x = tape.embedding_lookup(p["embed"], ids)
     for i in range(cfg.layers):
         x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"], keep)
     return tape.linear(x, p["out.w"], p["out.b"])
 
 
-def forward(params: ModelParameters, ids: np.ndarray, tape: Tape, lengths) -> Tensor:
-    return params.config.forward(params, ids, tape, lengths)
+def forward(params: ModelParameters, rows: Sequence[Sequence[int]], tape: Tape) -> Tensor:
+    return params.config.forward(params, rows, tape)
 
 
 # ------------------------------------------------------------------ checkpoint

@@ -110,8 +110,8 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-# Backward rules receive the output gradient and return one gradient (or None)
-# per input, in input order.
+# Backward rules receive the output gradient and return one gradient per
+# input, in input order.
 _BackwardFn = Callable[[np.ndarray], tuple]
 
 
@@ -156,8 +156,6 @@ class Tape:
             if g is None:
                 continue
             for t, gi in zip(inputs, bwd(g)):
-                if gi is None:
-                    continue
                 # never in place: a backward rule may return one array for
                 # several inputs (add returns g twice)
                 t.grad = gi if t.grad is None else t.grad + gi

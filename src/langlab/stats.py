@@ -99,18 +99,9 @@ def welch_t_test(a, b) -> TTestResult:
     r1, r2 = se1 / (se1 + se2), se2 / (se1 + se2)
     df = 1.0 / (r1 ** 2 / (n1 - 1) + r2 ** 2 / (n2 - 1))
     p = student_t_sf(t, df)
-    d = _cohen_from_stats(n1, m1, v1, n2, m2, v2)
+    # Cohen's d: the mean difference over the pooled standard deviation
+    d = (m1 - m2) / math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
     return TTestResult(t, df, p, d, n1, n2, *moments)
-
-
-def _cohen_from_stats(n1, m1, v1, n2, m2, v2) -> float:
-    """Cohen's d: the mean difference over the pooled standard deviation."""
-    pooled = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-    if pooled == 0.0:
-        if m1 == m2:
-            return 0.0
-        raise ValueError("zero pooled variance")
-    return (m1 - m2) / math.sqrt(pooled)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

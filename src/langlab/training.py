@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import models
 from .corpusio import InputError, read_text, write_lines
-from .numcore import Tape
-from .tokenizer import PAD_ID
+from .numcore import Tape, Tensor
 
 __all__ = [
     "TrainingConfig",
@@ -40,7 +40,6 @@ class TrainingConfig:
     warmup_fraction: float = 0.14
     peak_lr: float = 3e-3
     batch_size: int = 64
-    eval_every: int = 1
     seed: int = 0
 
     def validate(self) -> None:
@@ -52,15 +51,10 @@ class TrainingConfig:
             )
         if not 0.0 < self.peak_lr < math.inf:
             raise ValueError(f"peak_lr must be positive and finite, got {self.peak_lr}")
-        if self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("batch_size, eval_every must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.eval_every > self.total_steps:
-            raise ValueError(
-                f"eval_every {self.eval_every} exceeds total_steps "
-                f"{self.total_steps}, so no step would be logged"
-            )
 
 
 @dataclass(frozen=True)
@@ -199,12 +193,13 @@ class AdamOptimizer:
 _MAX_LOSS = math.log(sys.float_info.max)
 
 
-def _pad_batch(seqs: Sequence[tuple[int, ...]]) -> np.ndarray:
-    width = max(len(s) for s in seqs)
-    arr = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        arr[i, : len(s)] = s
-    return arr
+def _loss(params: models.ModelParameters, seqs: Sequence[tuple[int, ...]],
+          tape: Tape) -> Tensor:
+    """Mean cross-entropy of predicting each id of seqs from the ids before it."""
+    logits = models.forward(params, [s[:-1] for s in seqs], tape)
+    targets = np.fromiter(chain.from_iterable(s[1:] for s in seqs), np.int64,
+                          logits.shape[0])
+    return tape.cross_entropy(logits, targets)
 
 
 def _check_vocab(params: models.ModelParameters,
@@ -236,16 +231,12 @@ def train(
         while True:
             order = rng.permutation(len(corpus))
             for lo in range(0, len(corpus), config.batch_size):
-                yield _pad_batch([corpus[i] for i in order[lo : lo + config.batch_size]])
+                yield [corpus[i] for i in order[lo : lo + config.batch_size]]
 
     batch_iter = batches()
     for step in range(1, config.total_steps + 1):
-        batch = next(batch_iter)
-        keep = batch[:, 1:] != PAD_ID  # a prefix of each row: padding is on the right
         tape = Tape()
-        logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))
-        loss = tape.cross_entropy(logits, batch[:, 1:][keep])
-        del logits  # the loss record keeps their gradient, not them
+        loss = _loss(params, next(batch_iter), tape)
         loss_value = float(loss.data)
         if not loss_value < _MAX_LOSS:
             bad = [n for n, t in params.tensors.items() if not np.isfinite(t.data).all()]
@@ -260,8 +251,7 @@ def train(
                        step, lr)
         for t in params.tensors.values():
             t.grad = None  # this step's gradients die with it
-        if step % config.eval_every == 0:
-            series.append(step, loss_value, lr)
+        series.append(step, loss_value, lr)
     return series, params
 
 
@@ -270,19 +260,17 @@ def evaluate_perplexity(
     corpus: Sequence[tuple[int, ...]],
     batch_size: int = TrainingConfig.batch_size,
 ) -> EvalResult:
-    """exp of the mean cross-entropy over all non-PAD target tokens."""
+    """exp of the mean cross-entropy of predicting every id of each sequence
+    but its first."""
     if not corpus:
         raise ValueError("empty evaluation set")
     _check_vocab(params, corpus)
     total_nll = 0.0
     total_tokens = 0
     for lo in range(0, len(corpus), batch_size):
-        batch = _pad_batch(corpus[lo : lo + batch_size])
-        keep = batch[:, 1:] != PAD_ID
-        tape = Tape(record=False)
-        logits = models.forward(params, batch[:, :-1], tape, keep.sum(1))
-        loss = tape.cross_entropy(logits, batch[:, 1:][keep])
-        n = logits.shape[0]
+        batch = corpus[lo : lo + batch_size]
+        loss = _loss(params, batch, Tape(record=False))
+        n = sum(map(len, batch)) - len(batch)
         total_nll += float(loss.data) * n
         total_tokens += n
     mean = total_nll / total_tokens

@@ -173,7 +173,7 @@ def test_criterion_3_gradient_correctness():
     for cfg in (t_cfg, l_cfg):
         params = models.init_model(cfg)
         tape = Tape()
-        logits = models.forward(params, batch[:, :-1], tape, np.full(2, 7))
+        logits = models.forward(params, batch[:, :-1], tape)
         tape.backward(tape.cross_entropy(logits, batch[:, 1:].ravel()))
         grads = {n: t.grad.copy() for n, t in params.tensors.items()}
 
@@ -182,7 +182,7 @@ def test_criterion_3_gradient_correctness():
             probe[name] = Tensor(arr)
             stand_in = models.ModelParameters(params.config, probe)
             t2 = Tape(record=False)
-            out = models.forward(stand_in, batch[:, :-1], t2, np.full(2, 7))
+            out = models.forward(stand_in, batch[:, :-1], t2)
             return float(t2.cross_entropy(out, batch[:, 1:].ravel()).data)
 
         dir_rng = np.random.default_rng(1234)

@@ -12,7 +12,6 @@ from langlab.training import (
     MetricSeries,
     TrainingConfig,
     evaluate_perplexity,
-    _pad_batch,
     lr_schedule,
     train,
 )
@@ -79,14 +78,14 @@ def test_config_validation():
         TrainingConfig(total_steps=0).validate()
     with pytest.raises(ValueError):
         TrainingConfig(warmup_fraction=1.0).validate()
-    with pytest.raises(ValueError, match="eval_every 5 exceeds total_steps 4"):
-        TrainingConfig(total_steps=4, eval_every=5).validate()
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        TrainingConfig(batch_size=0).validate()
     for lr in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="peak_lr must be positive and finite"):
             TrainingConfig(peak_lr=lr).validate()
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         TrainingConfig(seed=-1).validate()
-    TrainingConfig(total_steps=4, eval_every=4).validate()
+    TrainingConfig(total_steps=1, batch_size=1).validate()
 
 
 # ---------------------------------------------------------------------- adam
@@ -218,14 +217,6 @@ def test_metric_csv_header_and_metadata(tmp_path, tiny_setup):
     assert lines[1].endswith(",reversed,transformer,4")
 
 
-def test_eval_every_thins_records(tiny_setup):
-    vocab, encoded, cfg = tiny_setup
-    params = init_model(cfg)
-    series, _ = train(params, encoded,
-                      TrainingConfig(total_steps=10, eval_every=5, seed=1))
-    assert [r.step for r in series.records] == [5, 10]
-
-
 def test_train_leaves_no_gradients_and_the_same_series(tiny_setup):
     """train moves each step's gradients off the parameters: none holds .grad
     afterwards, and the series and weights match, byte for byte, a loop that
@@ -238,11 +229,10 @@ def test_train_leaves_no_gradients_and_the_same_series(tiny_setup):
     ref, rng, opt, losses = init_model(cfg), np.random.default_rng(3), AdamOptimizer(), []
     order = rng.permutation(len(encoded))
     for step in range(1, 6):
-        batch = _pad_batch([encoded[i] for i in order[(step - 1) * 16:step * 16]])
-        keep = batch[:, 1:] != tokenizer.PAD_ID
+        seqs = [encoded[i] for i in order[(step - 1) * 16:step * 16]]
         tape = Tape()
-        logits = models.forward(ref, batch[:, :-1], tape, keep.sum(1))
-        loss = tape.cross_entropy(logits, batch[:, 1:][keep])
+        logits = models.forward(ref, [s[:-1] for s in seqs], tape)
+        loss = tape.cross_entropy(logits, [t for s in seqs for t in s[1:]])
         tape.backward(loss)
         opt.step(ref, {n: t.grad for n, t in ref.tensors.items()}, step,
                  lr_schedule(step, config))
@@ -320,6 +310,26 @@ def test_evaluate_empty_rejected(tiny_setup):
     _, _, cfg = tiny_setup
     with pytest.raises(ValueError, match="empty"):
         evaluate_perplexity(init_model(cfg), [])
+
+
+@pytest.mark.parametrize("arch", ["transformer", "lstm"])
+def test_evaluate_predicts_every_id_of_a_row_including_0(tiny_setup, arch):
+    """Every id of a row but its first is a target, id 0 too, each predicted
+    from the ids before it in its own row: the mean matches a row-by-row
+    negative log-likelihood."""
+    vocab, _, cfg = tiny_setup
+    if arch == "lstm":
+        cfg = LstmConfig(hidden_dim=8, embed_dim=8, vocab=len(vocab), seed=1)
+    params = init_model(cfg)
+    rows = [(1, 5, 0, 6, 2), (1, 7, 8, 2)]
+    result = evaluate_perplexity(params, rows)
+    assert result.tokens == 7
+    nll = []
+    for row in rows:
+        logits = models.forward(params, [row[:-1]], Tape(record=False)).data
+        lse = np.log(np.exp(logits - logits.max(1, keepdims=True)).sum(1)) + logits.max(1)
+        nll.extend(lse - logits[np.arange(len(row) - 1), row[1:]])
+    assert result.loss == pytest.approx(sum(nll) / 7, rel=1e-12)
 
 
 def test_evaluate_perplexity_identity(tiny_setup):

@@ -55,14 +55,13 @@ def golden_values(params, ids):
     """Logits of every position, [batch, seq, vocab], and the parameter
     gradients of the training loss, which predicts the non-PAD ids[:, 1:]
     from ids[:, :-1]."""
-    batch, seq = ids.shape
-    logits = forward(params, ids, Tape(record=False), np.full(batch, seq))
+    logits = forward(params, ids, Tape(record=False))
     tape = Tape()
-    rows = forward(params, ids[:, :-1], tape, np.full(batch, seq - 1))
+    rows = forward(params, ids[:, :-1], tape)
     keep = ids[:, 1:] != PAD_ID
     tape.backward(tape.cross_entropy(_kept_rows(tape, rows, keep.ravel()),
                                      ids[:, 1:][keep]))
-    return (logits.data.reshape(batch, seq, -1),
+    return (logits.data.reshape(ids.shape + (-1,)),
             {name: t.grad for name, t in params.tensors.items()})
 
 
