@@ -20,7 +20,8 @@ _CHUNK_LINES = 8192  # lines joined into one write
 
 
 class InputError(ValueError):
-    """A missing, unreadable or malformed input file."""
+    """A missing, unreadable or malformed input file, or a file that cannot
+    be written."""
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
@@ -50,15 +51,18 @@ def read_text(path: str | Path) -> str:
 def replacing(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file open at a temporary sibling, path's name + ".tmp", which
     replaces path when the block ends; if the block raises, the temporary
-    file is removed and path is left as it was.  Every file is written here."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    file is removed and path is left as it was.  An OSError of the open, a
+    write or the rename raises InputError naming path.  Every file is
+    written here."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise InputError(f"{path}: cannot write ({exc.strerror or exc})") from exc
         raise
 
 

@@ -218,23 +218,10 @@ def default_grammar() -> Grammar:
     return grammar
 
 
-class _NoRules(dict):
-    """The entry of a nonterminal without rules: reaching it raises
-    KeyError(symbol), where a draw from no candidates would never end."""
-
-    __slots__ = ("symbol",)
-
-    def __init__(self, symbol: str):
-        self.symbol = symbol
-
-    def __missing__(self, number: str):
-        raise KeyError(self.symbol)
-
-
 def _expander(grammar: Grammar):
     """Compile the grammar into ``expand(rng)``.
 
-    Each nonterminal becomes one entry, tabulated once per corpus:
+    Each nonterminal with rules becomes one entry, tabulated once per corpus:
     ``(candidates, n, k)``, with one candidate per rule, its count ``n``
     and ``k = n.bit_length()``.  A rule that rewrites to one terminal is
     that word; any other is its right-hand side reversed, with each
@@ -243,7 +230,8 @@ def _expander(grammar: Grammar):
     iteratively in preorder on a stack of words and entries, and draws one
     candidate per expanded nonterminal, single candidates included, as
     ``rng.randrange(n)`` does: ``rng.getrandbits(k)`` until the draw is
-    below ``n``, so the RNG stream is the same.  Reaching a nonterminal or
+    below ``n``, so the RNG stream is the same.  A rule that names a
+    nonterminal without rules raises KeyError(symbol) here, and reaching a
     subject number without candidates raises KeyError, where the draw would
     never end.
     """
@@ -256,11 +244,9 @@ def _expander(grammar: Grammar):
         unfilled.append((candidates, indices))
         return candidates, len(indices), len(indices).bit_length()
 
-    for sym in grammar.nonterminals:
+    for sym in {rule.lhs for rule in rules}:  # the nonterminals with rules
         indices = grammar.rules_for(sym)
-        if not indices:
-            entries[sym] = _NoRules(sym)
-        elif sym in ("AuxBePres", "AuxBePast", "AuxHave"):  # keyed by subject number
+        if sym in ("AuxBePres", "AuxBePast", "AuxHave"):  # keyed by subject number
             agreeing = {number: tuple(i for i in indices
                                       if _AUX_NUMBER[rules[i].rhs[0]] == number)
                         for number in ("sing", "pl")}
@@ -287,7 +273,7 @@ def _expander(grammar: Grammar):
             if type(item) is str:
                 append(item)
                 continue
-            if type(item) is not tuple:  # keyed by subject number, or _NoRules
+            if type(item) is not tuple:  # keyed by subject number
                 item = item[number]
             candidates, n, k = item
             r = getrandbits(k)

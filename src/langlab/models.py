@@ -34,8 +34,6 @@ __all__ = [
     "ModelParameters",
     "init_model",
     "forward",
-    "transformer_forward",
-    "lstm_forward",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
@@ -90,8 +88,34 @@ class TransformerConfig:
                        if kind[0] == "b" else rng.normal(0.0, 0.02, shape))
         return p
 
-    def forward(self, params, rows, tape) -> Tensor:
-        return transformer_forward(params, rows, tape)
+    def forward(self, params: ModelParameters, rows: Sequence[Sequence[int]],
+                tape: Tape) -> Tensor:
+        """Packed logits under causal masked attention."""
+        p = params.tensors
+        ids, keep = _packed(rows)
+        if keep.shape[1] > self.max_seq:
+            raise ValueError(f"sequence length {keep.shape[1]} exceeds max_seq {self.max_seq}")
+        x = tape.add(tape.embedding_lookup(p["tok_emb"], ids),
+                     tape.embedding_lookup(p["pos_emb"], np.nonzero(keep)[1]))
+
+        def linear(t, w, b):  # parameters of the current layer, prefix pre
+            return tape.linear(t, p[pre + w], p[pre + b])
+
+        for i in range(self.layers):
+            pre = f"l{i}."
+            h = tape.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+            q = linear(h, "attn.wq", "attn.bq")
+            k = linear(h, "attn.wk", "attn.bk")
+            v = linear(h, "attn.wv", "attn.bv")
+            merged = tape.causal_attention(q, k, v, self.heads, keep)
+            x = tape.add(x, linear(merged, "attn.wo", "attn.bo"))
+
+            h = tape.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            ff = tape.gelu(linear(h, "ff.w1", "ff.b1"))
+            x = tape.add(x, linear(ff, "ff.w2", "ff.b2"))
+
+        x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
+        return tape.unembed(x, p["tok_emb"])
 
 
 @dataclass(frozen=True)
@@ -131,8 +155,15 @@ class LstmConfig:
                 p[name] = rng.uniform(-1.0 / np.sqrt(h), 1.0 / np.sqrt(h), shape)
         return p
 
-    def forward(self, params, rows, tape) -> Tensor:
-        return lstm_forward(params, rows, tape)
+    def forward(self, params: ModelParameters, rows: Sequence[Sequence[int]],
+                tape: Tape) -> Tensor:
+        """Packed logits from the stacked LSTM recurrence."""
+        p = params.tensors
+        ids, keep = _packed(rows)
+        x = tape.embedding_lookup(p["embed"], ids)
+        for i in range(self.layers):
+            x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"], keep)
+        return tape.linear(x, p["out.w"], p["out.b"])
 
 
 # architecture name -> its config class: the one list of architectures
@@ -156,49 +187,6 @@ def _packed(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     lengths = np.fromiter(map(len, rows), np.int64, len(rows))
     keep = np.arange(lengths.max(initial=0)) < lengths[:, None]
     return np.fromiter(chain.from_iterable(rows), np.int64, lengths.sum()), keep
-
-
-def transformer_forward(params: ModelParameters, rows: Sequence[Sequence[int]],
-                        tape: Tape) -> Tensor:
-    """Packed logits under causal masked attention."""
-    cfg: TransformerConfig = params.config
-    p = params.tensors
-    ids, keep = _packed(rows)
-    if keep.shape[1] > cfg.max_seq:
-        raise ValueError(f"sequence length {keep.shape[1]} exceeds max_seq {cfg.max_seq}")
-    x = tape.add(tape.embedding_lookup(p["tok_emb"], ids),
-                 tape.embedding_lookup(p["pos_emb"], np.nonzero(keep)[1]))
-
-    def linear(t, w, b):  # parameters of the current layer, prefix pre
-        return tape.linear(t, p[pre + w], p[pre + b])
-
-    for i in range(cfg.layers):
-        pre = f"l{i}."
-        h = tape.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = linear(h, "attn.wq", "attn.bq")
-        k = linear(h, "attn.wk", "attn.bk")
-        v = linear(h, "attn.wv", "attn.bv")
-        merged = tape.causal_attention(q, k, v, cfg.heads, keep)
-        x = tape.add(x, linear(merged, "attn.wo", "attn.bo"))
-
-        h = tape.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        ff = tape.gelu(linear(h, "ff.w1", "ff.b1"))
-        x = tape.add(x, linear(ff, "ff.w2", "ff.b2"))
-
-    x = tape.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
-    return tape.unembed(x, p["tok_emb"])
-
-
-def lstm_forward(params: ModelParameters, rows: Sequence[Sequence[int]],
-                 tape: Tape) -> Tensor:
-    """Packed logits from the stacked LSTM recurrence."""
-    cfg: LstmConfig = params.config
-    p = params.tensors
-    ids, keep = _packed(rows)
-    x = tape.embedding_lookup(p["embed"], ids)
-    for i in range(cfg.layers):
-        x = tape.lstm_layer(x, p[f"l{i}.wx"], p[f"l{i}.wh"], p[f"l{i}.b"], keep)
-    return tape.linear(x, p["out.w"], p["out.b"])
 
 
 def forward(params: ModelParameters, rows: Sequence[Sequence[int]], tape: Tape) -> Tensor:

@@ -52,25 +52,32 @@ class TTestResult:
         }
 
 
-def _mean_var(xs) -> tuple[float, float]:
-    n = len(xs)
-    m = sum(xs) / n
-    var = sum((x - m) ** 2 for x in xs) / (n - 1)
-    return m, var
-
-
-def _scaled_mean_var(a, b) -> tuple[int, float, float, float, float]:
-    """Means and variances of both groups after dividing every value by 2**e.
-
-    e puts the largest |x| of both groups in [0.5, 1), so the squared
-    deviations neither underflow nor overflow; scaling by a power of two is
-    exact, so on ordinary data the results equal the unscaled ones bit for
-    bit. A mean scales back by 2**e and a variance by 2**(2e).
+def _scaled_moments(a, b) -> tuple[int, int, list[float], list[float]]:
+    """(e, g, means, variances) of both groups.  Every value is divided by
+    2**e, which puts the largest |x| of both groups in [0.5, 1), and every
+    deviation from its group's mean by 2**g <= 1, which lifts deviations all
+    below 2**-400 to about 2**-400, so that their squares stay clear of the
+    subnormal range; larger ones are squared as they are, since ** rounds
+    differently at another scale.  Scaling by a power of two is exact, so on
+    ordinary data the results equal the unscaled ones bit for bit.  A mean
+    scales back by 2**e and a variance by 2**(2(e + g)).
     """
     e = math.frexp(max(abs(x) for x in (*a, *b)))[1]
-    m1, v1 = _mean_var([math.ldexp(x, -e) for x in a])
-    m2, v2 = _mean_var([math.ldexp(x, -e) for x in b])
-    return e, m1, v1, m2, v2
+    scaled = [[math.ldexp(x, -e) for x in xs] for xs in (a, b)]
+    means = [sum(xs) / len(xs) for xs in scaled]
+    deviations = [[x - m for x in xs] for xs, m in zip(scaled, means)]
+    g = min(0, math.frexp(max(abs(x) for xs in deviations for x in xs))[1] + 400)
+    variances = [sum(math.ldexp(x, -g) ** 2 for x in xs) / (len(xs) - 1)
+                 for xs in deviations]
+    return e, g, means, variances
+
+
+def _unscaled(x: float, g: int) -> float:
+    """x / 2**g, infinite where that is beyond the float range."""
+    try:
+        return math.ldexp(x, -g)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def welch_t_test(a, b) -> TTestResult:
@@ -83,24 +90,26 @@ def welch_t_test(a, b) -> TTestResult:
     n1, n2 = len(a), len(b)
     if n1 < 2 or n2 < 2:
         raise ValueError("welch_t_test: need at least 2 samples in each group")
-    # t, df, p and d are scale-free, so they come from the scaled moments
-    e, m1, v1, m2, v2 = _scaled_mean_var(a, b)
+    # t, df, p and d are scale-free, so they come from the scaled moments:
+    # the mean difference scaled by 2**e over standard deviations by 2**(e + g)
+    e, g, (m1, m2), (v1, v2) = _scaled_moments(a, b)
     moments = (math.ldexp(m1, e), math.ldexp(m2, e),
-               math.ldexp(v1, 2 * e), math.ldexp(v2, 2 * e))
+               math.ldexp(v1, 2 * (e + g)), math.ldexp(v2, 2 * (e + g)))
     if v1 == 0.0 and v2 == 0.0:
         if m1 == m2:
             return TTestResult(0.0, float(n1 + n2 - 2), 1.0, 0.0,
                                n1, n2, *moments)
         raise ValueError("welch_t_test: zero variance in both groups")
     se1, se2 = v1 / n1, v2 / n2
-    t = (m1 - m2) / math.sqrt(se1 + se2)
+    t = _unscaled((m1 - m2) / math.sqrt(se1 + se2), g)
     # Welch-Satterthwaite df on normalized standard errors; dividing by the
     # total first keeps the ratio exact when se**2 would underflow
     r1, r2 = se1 / (se1 + se2), se2 / (se1 + se2)
     df = 1.0 / (r1 ** 2 / (n1 - 1) + r2 ** 2 / (n2 - 1))
     p = student_t_sf(t, df)
     # Cohen's d: the mean difference over the pooled standard deviation
-    d = (m1 - m2) / math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
+    pooled = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
+    d = _unscaled((m1 - m2) / math.sqrt(pooled), g)
     return TTestResult(t, df, p, d, n1, n2, *moments)
 
 

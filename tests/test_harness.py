@@ -2,8 +2,13 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import re
+import resource
+import signal
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -613,6 +618,7 @@ def _eval_args(ckpt, vocab="v.txt"):
 _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
 _CANNOT_READ_DIR = r"^input error: \S*/dir: cannot read \(Is a directory\)$"
 _OS_ERROR_ON = r"^input error: \[Errno \d+\] [^:]+: '\S*"  # Python's message names the path
+_CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -855,10 +861,9 @@ _OS_ERROR_ON = r"^input error: \[Errno \d+\] [^:]+: '\S*"  # Python's message na
                  id="experiment-spec-dir"),
     # ... a directory written as a file
     pytest.param(["transform", "--kind", "reverse", "--in", "{d}/c.txt", "--out", "{d}/dir"],
-                 cli.EXIT_INPUT, _OS_ERROR_ON + r"dir\.tmp' -> '\S*/dir'$",
-                 id="transform-out-dir"),
+                 cli.EXIT_INPUT, _CANNOT_WRITE_DIR, id="transform-out-dir"),
     pytest.param(["generate", "--count", "3", "--out", "{d}/dir"], cli.EXIT_INPUT,
-                 _OS_ERROR_ON + r"dir\.tmp' -> '\S*/dir'$", id="generate-out-dir"),
+                 _CANNOT_WRITE_DIR, id="generate-out-dir"),
     # ... a regular file as an output directory
     pytest.param(["train", "--corpus", "{d}/c.txt", "--steps", "2", "--out-dir", "{d}/c.txt"],
                  cli.EXIT_INPUT, _OS_ERROR_ON + r"c\.txt'$", id="train-out-dir-file"),
@@ -897,6 +902,27 @@ def test_cli_exit_code_matrix(bad_inputs, capsys, argv, code, message):
     if "{d}/lr" in argv:  # a diverging run keeps the metrics logged so far
         lines = (bad_inputs / "lr" / "metrics.csv").read_text().splitlines()
         assert lines[0] == MetricSeries.CSV_HEADER and len(lines) >= 2
+
+
+def _file_size_limit():
+    """In the child alone: a write past 2,000 bytes fails with EFBIG."""
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (2000, 2000))
+
+
+def test_cli_write_fault_names_the_file(bad_inputs):
+    """A write that fails part way exits 3 naming the file under --out-dir,
+    not its temporary sibling, and leaves no temporary file."""
+    out = bad_inputs / "fsize"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-m", "langlab.cli", "train", "--corpus",
+                          str(bad_inputs / "c.txt"), "--steps", "2", "--out-dir", str(out)],
+                         env=env, preexec_fn=_file_size_limit, capture_output=True, text=True)
+    assert run.returncode == cli.EXIT_INPUT
+    assert re.fullmatch(rf"input error: {re.escape(str(out))}/[^/\s]+: "
+                        r"cannot write \(File too large\)", run.stderr.strip())
+    assert not list(out.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("argv, code", [

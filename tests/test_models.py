@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -10,6 +11,7 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
+from langlab.corpusio import InputError
 from langlab.models import (
     CheckpointError,
     LstmConfig,
@@ -18,9 +20,7 @@ from langlab.models import (
     forward,
     init_model,
     load_checkpoint,
-    lstm_forward,
     save_checkpoint,
-    transformer_forward,
 )
 from langlab.numcore import Tape
 from langlab.tokenizer import PAD_ID
@@ -114,7 +114,7 @@ def test_overlength_sequence_rejected():
     params = init_model(TINY_T)
     too_long = [(1,) * (TINY_T.max_seq + 1), (1, 2)]
     with pytest.raises(ValueError, match="sequence length 9 exceeds max_seq 8"):
-        transformer_forward(params, too_long, Tape())
+        forward(params, too_long, Tape())
 
 
 def test_logits_shape_both_archs():
@@ -126,7 +126,7 @@ def test_logits_shape_both_archs():
 
 def test_lstm_single_token_input():
     params = init_model(TINY_L)
-    out = lstm_forward(params, [(5,)], Tape(record=False))
+    out = forward(params, [(5,)], Tape(record=False))
     assert out.shape == (1, 16)
 
 
@@ -308,7 +308,7 @@ def test_lstm_gates_match_scalar_oracle():
         h = go * math.tanh(c)
         expected_rows.append([h * 1.0, h * -1.0, h * 0.5])
 
-    out = lstm_forward(params, [(1, 2, 1)], Tape(record=False))
+    out = forward(params, [(1, 2, 1)], Tape(record=False))
     assert np.all(np.abs(out.data - np.array(expected_rows)) < 1e-12)
 
 
@@ -376,7 +376,8 @@ def test_checkpoint_write_that_fails_halfway_leaves_the_old_file(tmp_path):
     old = path.read_bytes()
     params = init_model(replace(TINY_L, seed=4))
     params.tensors["out.w"] = _Unwritable()  # written after the embedding and the layer
-    with pytest.raises(OSError, match="no space left"):
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: cannot write "
+                                         r"\(no space left on device\)$"):
         save_checkpoint(params, path)
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]  # the temporary file is removed

@@ -1,5 +1,6 @@
-"""The package carries no code that only the tests reach, no file check but
-its one file boundary, and no branch on an architecture's name."""
+"""The package carries no code that only the tests reach, no second binding
+of a name, no file check but its one file boundary, and no branch on an
+architecture's name."""
 
 import ast
 from pathlib import Path
@@ -57,10 +58,10 @@ def test_every_public_name_is_reached_by_product_code():
     default_grammar uses pluralize.  Each public method or property of a
     public class is referenced as an attribute (``obj.name``) by some
     statement, its own class included; a local variable of the same name is
-    no reference.  __init__ and the __all__ lists do not count, so a name that
-    only the tests call fails here."""
+    no reference.  The __all__ lists do not count, so a name that only the
+    tests call fails here."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+             for p in sorted(SRC.glob("*.py"))}
     statements = [(stmt, _attributes(stmt), _uses(stmt, trees)) for tree in trees.values()
                   for stmt in tree.body if not _is_all(stmt)]
     unreached = [
@@ -78,6 +79,15 @@ def test_every_public_name_is_reached_by_product_code():
     ]
     assert sorted(set(unreached) - ALLOWED) == []
     assert ALLOWED <= set(unreached)  # an entry that product code reaches goes
+
+
+def test_package_binds_only_its_version():
+    """Each name is imported from the module that defines it, so no name has
+    a second binding: langlab/__init__.py holds its docstring and
+    __version__, and nothing else."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert [ast.unparse(stmt).split(" = ")[0] for stmt in tree.body[1:]] == ["__version__"]
 
 
 def test_no_ad_hoc_file_checks():

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -85,6 +86,32 @@ def test_cohen_d_sign_matches_t_sweep():
         b = rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2), size=11).tolist()
         r = welch_t_test(a, b)
         assert math.copysign(1, r.cohen_d) == math.copysign(1, r.t) or r.t == 0
+
+
+def _decimal_t_and_d(a, b):
+    """Welch's t and Cohen's d of two groups in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        moments = []
+        for xs in ([decimal.Decimal(x) for x in a], [decimal.Decimal(x) for x in b]):
+            m = sum(xs) / len(xs)
+            moments += [m, sum((x - m) ** 2 for x in xs) / (len(xs) - 1)]
+        m1, v1, m2, v2 = moments
+        n1, n2 = len(a), len(b)
+        t = (m1 - m2) / (v1 / n1 + v2 / n2).sqrt()
+        d = (m1 - m2) / (((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)).sqrt()
+    return float(t), float(d)
+
+
+@pytest.mark.parametrize("a, b", [([0.0, 1e-161], [0.75] * 100),
+                                  ([0.0, 1e-161, 0.0], [0.75] * 3)])
+def test_subnormal_squared_deviations_match_decimal(a, b):
+    """Deviations of 1e-161 square to about 2.5e-323, where a double keeps
+    a few bits, and the pooled variance of the first pair to 0 at that scale."""
+    r = welch_t_test(a, b)
+    t, d = _decimal_t_and_d(a, b)
+    assert r.t == pytest.approx(t, rel=1e-12)
+    assert r.cohen_d == pytest.approx(d, rel=1e-12)
 
 
 # -------------------------------------------------------------------- errors

@@ -16,6 +16,7 @@ of ``lstm`` changes their last digits only.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,9 @@ import numpy as np
 from langlab.models import LstmConfig, TransformerConfig, forward, init_model
 from langlab.numcore import Tape
 from langlab.tokenizer import PAD_ID
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tests"))
+from refops import take  # noqa: E402
 
 DATA = Path(__file__).parent.parent / "tests" / "data"
 
@@ -39,18 +43,6 @@ def _text(values):
     return f"{values:.17g}"
 
 
-def _kept_rows(tape, rows, keep):
-    """rows.data[keep], the gradient scattered back into zeros.  keep need not
-    be a prefix of each sequence: IDS has a PAD inside its first row."""
-
-    def bwd(g):
-        full = np.zeros_like(rows.data)
-        full[keep] = g
-        return (full,)
-
-    return tape._emit(rows.data[keep], (rows,), bwd)
-
-
 def golden_values(params, ids):
     """Logits of every position, [batch, seq, vocab], and the parameter
     gradients of the training loss, which predicts the non-PAD ids[:, 1:]
@@ -58,9 +50,8 @@ def golden_values(params, ids):
     logits = forward(params, ids, Tape(record=False))
     tape = Tape()
     rows = forward(params, ids[:, :-1], tape)
-    keep = ids[:, 1:] != PAD_ID
-    tape.backward(tape.cross_entropy(_kept_rows(tape, rows, keep.ravel()),
-                                     ids[:, 1:][keep]))
+    keep = ids[:, 1:] != PAD_ID  # not a prefix: IDS has a PAD inside its first row
+    tape.backward(tape.cross_entropy(take(tape, rows, keep.ravel()), ids[:, 1:][keep]))
     return (logits.data.reshape(ids.shape + (-1,)),
             {name: t.grad for name, t in params.tensors.items()})
 
