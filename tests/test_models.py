@@ -347,6 +347,13 @@ def test_make_golden_reproduces_transformer_golden(tmp_path, monkeypatch):
     assert (tmp_path / frozen.name).read_bytes() == frozen.read_bytes()
 
 
+def test_make_golden_reproduces_lstm_golden(tmp_path, monkeypatch):
+    monkeypatch.setattr(make_golden, "DATA", tmp_path)
+    make_golden.main(["lstm"])
+    frozen = Path(__file__).parent / "data" / "lstm_golden.json"
+    assert (tmp_path / frozen.name).read_bytes() == frozen.read_bytes()
+
+
 # --------------------------------------------------------------- checkpoint
 
 

@@ -9,9 +9,7 @@ Run from the repository root, naming each golden file to write:
 tests/data/lstm_golden.json; each holds a model's logits and every parameter
 gradient of its training loss.  Only rerun this for the model whose
 initialization or forward pass an intentional change invalidated, and commit
-the regenerated file; the other file is left as it is.  The stored LSTM values
-come from the per-timestep forward that Tape.lstm_layer replaced, so a rerun
-of ``lstm`` changes their last digits only.
+the regenerated file; the other file is left as it is.
 """
 
 import argparse
