@@ -24,7 +24,10 @@ it, named by a [batch, seq] mask.
 A recorded op keeps only what its backward reads.  gelu keeps its derivative
 dy/dx, not its input, and cross_entropy its gradient (softmax minus one-hot),
 not the logits; their backward rules scale that array in place and return it,
-so neither allocates one.
+so neither allocates one.  lstm_layer keeps its gate activations, cell states,
+time-major input rows and its own output, not a time-major copy of the hidden
+states or tanh of the cell states: its backward gathers h_{t-1} from the
+output and recomputes tanh(c_t) one step at a time.
 
 Freeing saved arrays mid-step would make glibc hand every buffer of 128 KB or
 more back to the OS and fault it in again on its next use, so on import the
@@ -312,7 +315,12 @@ class Tape:
         rows run time-major, longest sequence first (a stable sort), so step
         t computes only its n_t running sequences, the first n_t rows of step
         t - 1.  The backward walks time in reverse; the input projection and
-        each weight gradient are one matmul over all rows."""
+        each weight gradient are one matmul over all rows.  A recorded call
+        keeps the activations (which the backward overwrites with the gate
+        gradients), the cell states, the time-major input rows and the
+        output, which the backward reads h_{t-1} from; it recomputes tanh(c_t)
+        with the same np.tanh, gathers one step's rows of the output gradient
+        at a time and frees the cell states before the weight gradients."""
         n = wh.shape[0] if wh.data.ndim == 2 else 0
         what = f"lstm_layer: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         if (x.data.ndim != 2 or n < 1 or wh.shape != (n, 4 * n)
@@ -335,7 +343,8 @@ class Tape:
         # pre-activations, overwritten step by step with the activations
         acts = xt @ wx.data
         acts += b.data
-        hs, cs, tcs = np.zeros((3, len(rows), n))  # h_t, c_t and tanh(c_t)
+        hs, cs = np.zeros((len(rows), n)), np.zeros((len(rows), n))  # h_t, c_t
+        tcs = np.empty((len(keep), n))  # tanh(c_t) of one step
         rec = np.empty((max(len(keep), 2), 4 * n))
         for t in range(len(bounds) - 1):
             lo, hi = bounds[t], bounds[t + 1]
@@ -348,12 +357,12 @@ class Tape:
             a[:, 2 * n:3 * n] = g
             i, f, g, o = gates(a)
             np.add(f * before(t, hi - lo, cs), i * g, out=cs[lo:hi])
-            np.tanh(cs[lo:hi], out=tcs[lo:hi])
-            np.multiply(o, tcs[lo:hi], out=hs[lo:hi])
+            np.multiply(o, np.tanh(cs[lo:hi], out=tcs[:hi - lo]), out=hs[lo:hi])
         back = np.argsort(rows)  # packed row order from time-major
+        out = hs[back]
 
         def bwd(gout):
-            gt = gout[rows]
+            nonlocal cs
             # the gate gradients overwrite the activations step by step: every
             # operand of a gate's gradient is read before its block is written
             dz = acts
@@ -362,8 +371,9 @@ class Tape:
                 lo, hi = bounds[t], bounds[t + 1]
                 i, f, g, o = gates(acts[lo:hi])
                 di, df, dg, do = gates(dz[lo:hi])
-                tc, d, c = tcs[lo:hi], dh[:hi - lo], dc[:hi - lo]
-                d += gt[lo:hi]
+                d, c = dh[:hi - lo], dc[:hi - lo]
+                tc = np.tanh(cs[lo:hi], out=tcs[:hi - lo])  # as the forward did
+                d += gout[rows[lo:hi]]
                 c += d * o * (1.0 - tc * tc)
                 np.multiply(d * tc * o, 1.0 - o, out=do)
                 cgi = c * g * i
@@ -374,12 +384,13 @@ class Tape:
                 np.multiply(cf, 1.0 - f, out=df)
                 if t:
                     np.matmul(dz[lo:hi], wh.data.T, out=d)
+            cs = None  # not read again: freed before the weight gradients
             first = counts[:1].sum()  # dwh: each row of steps t >= 1 by its h_{t-1}
-            prev = np.arange(first, len(rows)) - np.repeat(counts[:-1], counts[1:])
-            return ((dz @ wx.data.T)[back], xt.T @ dz, hs[prev].T @ dz[first:],
+            prev = rows[np.arange(first, len(rows)) - np.repeat(counts[:-1], counts[1:])]
+            return ((dz @ wx.data.T)[back], xt.T @ dz, out[prev].T @ dz[first:],
                     dz.sum(axis=0))
 
-        return self._emit(hs[back], (x, wx, wh, b), bwd)
+        return self._emit(out, (x, wx, wh, b), bwd)
 
     def layer_norm(self, a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         k = a.shape[-1]

@@ -270,6 +270,19 @@ def test_transformer_step_peak_memory():
     assert backward_peak <= 14.5e6, f"backward peak {backward_peak} bytes"
 
 
+def test_lstm_step_memory():
+    """lstm_layer keeps no time-major copy of its hidden states and no
+    tanh(c_t) slab, gathers one step's rows of its output gradient at a time
+    and frees its cell states before the weight gradients, so an LSTM step
+    of the experiment shape holds at most 5.5 MB after forward and neither
+    half peaks above 7.5 MB (5.00, 5.75 and 7.11 MB; 6.25, 6.99 and 9.01 MB
+    with the copy, the slab and the whole gather)."""
+    held, forward_peak, backward_peak = _traced_step(LstmConfig(seed=1))
+    assert held <= 5.5e6, f"{held} bytes held after forward"
+    assert forward_peak <= 7.5e6, f"forward peak {forward_peak} bytes"
+    assert backward_peak <= 7.5e6, f"backward peak {backward_peak} bytes"
+
+
 def test_lstm_backward_writes_gate_gradients_over_the_activations():
     """lstm_layer's backward reuses the activation slab for the gate
     gradients: the LSTM backward peak stays within 1.5x of the memory held

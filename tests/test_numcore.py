@@ -254,6 +254,27 @@ def test_cross_entropy_rule_returns_its_saved_gradient():
     assert grad is saved[0] and allocated < 1024
 
 
+def test_lstm_rule_keeps_output_activations_cells_and_inputs():
+    """A recorded lstm_layer keeps its output (the returned tensor's array),
+    the gate-activation slab, the time-major cell states and input rows, and
+    one [batch, h] scratch in which its backward recomputes tanh(c_t): no
+    time-major copy of the hidden states and no tanh(c_t) slab."""
+    rng = np.random.default_rng(11)  # own generator: RNG's draws stay as they were
+    keep = np.arange(6) < np.array([6, 3, 5, 1])[:, None]
+    rows, n_in, n = int(keep.sum()), 3, 5
+    tape = Tape()
+    x, wx, wh, b = (Tensor(rng.normal(size=s))
+                    for s in ((rows, n_in), (n_in, 4 * n), (n, 4 * n), (4 * n,)))
+    y = tape.lstm_layer(x, wx, wh, b, keep)
+    _, saved = _rule_and_saved(tape)
+    floats = [a for a in saved if a.dtype.kind == "f"]
+    assert sorted(a.shape for a in floats) == sorted(
+        [(rows, n), (rows, 4 * n), (rows, n), (rows, n_in), (len(keep), n)])
+    assert sum(a is y.data for a in floats) == 1
+    assert not any(np.shares_memory(a, c) for a in floats for c in floats if a is not c)
+    assert not any(np.shares_memory(a, x.data) for a in floats)
+
+
 def test_docstrings_say_only_leaves_keep_grad():
     assert "only leaf tensors" in " ".join(numcore.__doc__.split())
     assert "leaf tensor" in " ".join(Tape.backward.__doc__.split())
