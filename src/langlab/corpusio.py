@@ -10,7 +10,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 from .grammar import Sentence, gc_paused
 
-# read_bytes, replacing and write_lines stay out of __all__: perfbench times
+# read_bytes, make_dir, replacing and write_lines stay out of __all__: perfbench times
 # each __all__ function as its module's work, and what they move is the caller's
 __all__ = ["InputError", "write_corpus", "read_corpus", "normalize_line",
            "read_text"]
@@ -26,6 +26,10 @@ class InputError(ValueError):
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
+def _cannot_write(path, exc: OSError) -> InputError:
+    return InputError(f"{path}: cannot write ({exc.strerror or exc})")
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -47,6 +51,16 @@ def read_text(path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def make_dir(path: str | Path) -> None:
+    """Create directory path and its parents, keeping one that exists; an
+    OSError, such as a file in its place, raises InputError naming path.
+    Every output directory is made here."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
 @contextmanager
 def replacing(path: str | Path) -> Iterator[BinaryIO]:
     """A binary file open at a temporary sibling, path's name + ".tmp", which
@@ -62,7 +76,7 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            raise InputError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+            raise _cannot_write(path, exc) from exc
         raise
 
 

@@ -221,7 +221,7 @@ def train_run(model_cfg: models.TransformerConfig | models.LstmConfig,
     """Train a fresh model of model_cfg and write run_dir/metrics.csv and
     run_dir/model.ckpt; a diverging run still writes the metrics logged
     before it.  Returns (series, trained parameters)."""
-    run_dir.mkdir(parents=True, exist_ok=True)
+    corpusio.make_dir(run_dir)
     params = models.init_model(model_cfg)
     try:
         series, params = training.train(params, encoded, cfg, group=group)
@@ -265,7 +265,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 
     out = Path(spec.out_dir)
     for sub in ("corpora", "vocab", "runs", "curves", "tables", "plots"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+        corpusio.make_dir(out / sub)
     for name in ("report.json", "report.txt"):
         (out / name).unlink(missing_ok=True)
 

@@ -617,7 +617,6 @@ def _eval_args(ckpt, vocab="v.txt"):
 
 _TINY_EXPERIMENT = ["--seeds", "1", "--steps", "4", "--out-dir", "{d}/exp"]
 _CANNOT_READ_DIR = r"^input error: \S*/dir: cannot read \(Is a directory\)$"
-_OS_ERROR_ON = r"^input error: \[Errno \d+\] [^:]+: '\S*"  # Python's message names the path
 _CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
 
 
@@ -866,10 +865,12 @@ _CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
                  _CANNOT_WRITE_DIR, id="generate-out-dir"),
     # ... a regular file as an output directory
     pytest.param(["train", "--corpus", "{d}/c.txt", "--steps", "2", "--out-dir", "{d}/c.txt"],
-                 cli.EXIT_INPUT, _OS_ERROR_ON + r"c\.txt'$", id="train-out-dir-file"),
+                 cli.EXIT_INPUT, r"^input error: \S*c\.txt: cannot write \(File exists\)$",
+                 id="train-out-dir-file"),
     pytest.param(["experiment", "--corpus-count", "40", "--seeds", "1", "--steps", "4",
                   "--out-dir", "{d}/c.txt"],
-                 cli.EXIT_INPUT, _OS_ERROR_ON + r"c\.txt/corpora'$",
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*c\.txt/corpora: cannot write \(Not a directory\)$",
                  id="experiment-out-dir-file"),
     # ... a missing file
     pytest.param(["stats", "--a", "{d}/absent.csv", "--b", "{d}/four.csv"], cli.EXIT_INPUT,
