@@ -318,9 +318,10 @@ class Tape:
         each weight gradient are one matmul over all rows.  A recorded call
         keeps the activations (which the backward overwrites with the gate
         gradients), the cell states, the time-major input rows and the
-        output, which the backward reads h_{t-1} from; it recomputes tanh(c_t)
-        with the same np.tanh, gathers one step's rows of the output gradient
-        at a time and frees the cell states before the weight gradients."""
+        output, from which the backward gathers h_{t-1}; it recomputes
+        tanh(c_t) with the same np.tanh, gathers one step's rows of the output
+        gradient at a time and frees the cell states before the weight
+        gradients."""
         n = wh.shape[0] if wh.data.ndim == 2 else 0
         what = f"lstm_layer: x {x.shape}, wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         if (x.data.ndim != 2 or n < 1 or wh.shape != (n, 4 * n)
@@ -385,7 +386,8 @@ class Tape:
                 if t:
                     np.matmul(dz[lo:hi], wh.data.T, out=d)
             cs = None  # not read again: freed before the weight gradients
-            first = counts[:1].sum()  # dwh: each row of steps t >= 1 by its h_{t-1}
+            # dwh: each row of steps t >= 1 by its h_{t-1}, a row of out
+            first = counts[:1].sum()
             prev = rows[np.arange(first, len(rows)) - np.repeat(counts[:-1], counts[1:])]
             return ((dz @ wx.data.T)[back], xt.T @ dz, out[prev].T @ dz[first:],
                     dz.sum(axis=0))
