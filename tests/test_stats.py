@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,24 @@ def test_incomplete_beta_analytic_case():
     for x in (0.1, 0.42, 0.9):
         assert abs(regularized_incomplete_beta(1, 1, x) - x) < 1e-12
         assert abs(regularized_incomplete_beta(1, 3, x) - (1 - (1 - x) ** 3)) < 1e-12
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+
+
+def test_sf_bits_pinned():
+    """student_t_sf and I_x(a, b) bit for bit on grids that reach both
+    branches of each, so a rewrite of the continued fraction must keep every
+    bit."""
+    sf = [student_t_sf(t, df) for t in (0.0, 1e-8, 0.5, 2.0, -3.7, 12.0, 58.06, 1e3)
+          for df in (0.7, 1.0, 2.2, 9.5, 351.6, 1e4)]
+    assert _hex_digest(sf) == (
+        "7830db39d67662557073f4feab85c83f60cc116b6fb40e3c249163bdef9b7a6a")
+    beta = [regularized_incomplete_beta(a, b, x) for a in (0.35, 2.0, 40.0)
+            for b in (0.5, 3.0) for x in (0.05, 0.5, 0.97)]
+    assert _hex_digest(beta) == (
+        "3f5f47340685efe5098b82a0fc22a1d4a267571b01fa7a2c144cced31825c2ec")
 
 
 # ----------------------------------------------------------------- properties
