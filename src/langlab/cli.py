@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
@@ -127,7 +127,7 @@ def _cmd_experiment(args) -> int:
 def _cmd_report(args) -> int:
     report = harness.load_report(args.run_dir)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        print(json.dumps(asdict(report), indent=2, sort_keys=True))
     else:
         print(harness.render_text_report(report), end="")  # the text of report.txt
     return EXIT_OK

@@ -162,22 +162,13 @@ class LinearitySummary:
 
 @dataclass
 class RunReport:
+    """An experiment's results; report.json is dataclasses.asdict of it."""
     experiment: str
     arch: str
     groups: dict[str, GroupResult]
     comparisons: list[dict]
     linearity: LinearitySummary | None
-    spec_echo: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "arch": self.arch,
-            "groups": {g: dataclasses.asdict(r) for g, r in self.groups.items()},
-            "comparisons": self.comparisons,
-            "linearity": dataclasses.asdict(self.linearity) if self.linearity else None,
-            "spec": self.spec_echo,
-        }
+    spec: dict  # the spec's settings, as _spec_echo gives them
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunReport":
@@ -295,7 +286,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         groups=group_results,
         comparisons=comparisons,
         linearity=None,
-        spec_echo=_spec_echo(spec),
+        spec=_spec_echo(spec),
     )
     if len(impossible) >= 2:
         report.linearity = linearity_gradient_summary(report)
@@ -303,7 +294,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     _write_curves(out, all_series)
     _write_tables(out, report)
     corpusio.write_lines(out / "report.json",
-                         [json.dumps(report.to_json_dict(), indent=2, sort_keys=True)])
+                         [json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)])
     corpusio.write_lines(out / "report.txt",
                          [render_text_report(report).removesuffix("\n")])
     return report

@@ -1,82 +1,69 @@
-"""Small deterministic SVG chart writer for experiment figures."""
+"""Deterministic SVG line and bar charts for experiment figures, in one frame."""
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpusio import write_lines
 
-__all__ = ["line_chart", "bar_chart", "GROUP_COLORS"]
+__all__ = ["line_chart", "bar_chart"]
 
-GROUP_COLORS = {
-    "natural": "#2a7f3f",
-    "reversed": "#c23b22",
-    "parity-negation": "#1f5fa8",
-}
+_GROUP_COLORS = {"natural": "#2a7f3f", "reversed": "#c23b22", "parity-negation": "#1f5fa8"}
 _FALLBACK_COLORS = ("#7a5195", "#ef8a62", "#67a9cf", "#999999")
 
 _W, _H = 720, 440
-_ML, _MR, _MT, _MB = 70, 160, 40, 50
+_X0, _X1, _Y0, _Y1 = 70, _W - 160, _H - 50, 40  # the plot area's left, right, bottom, top
 
 
 def _color(label: str, index: int) -> str:
-    return GROUP_COLORS.get(label, _FALLBACK_COLORS[index % len(_FALLBACK_COLORS)])
+    return _GROUP_COLORS.get(label, _FALLBACK_COLORS[index % len(_FALLBACK_COLORS)])
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _text(x, y, size: int, body, anchor: str = "", after: str = "") -> str:
+    """A sans-serif <text> element; after holds more attributes."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{after}>{body}</text>')
 
 
-def _svg_header(title: str) -> list[str]:
-    return [
+def _offset(v: float, lo: float, hi: float, span: int) -> float:
+    """v's pixels from the start of a span-pixel axis from lo to hi; 0 if hi <= lo."""
+    return span * ((v - lo) / (hi - lo) if hi > lo else 0)
+
+
+def _height(v: float, lo: float, hi: float) -> float:
+    """v's pixels above the x axis, on a y axis from lo to hi."""
+    return (_Y0 - _Y1) * (v - lo) / (hi - lo)
+
+
+def _chart(path, title, lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, marks) -> None:
+    """Write the SVG at path: the title, the axes with five ticks each (a
+    zero-width range is ticked from lo to lo + 1), the axis labels, marks."""
+    ticks = [[lo + ((lo + 1.0 if hi == lo else hi) - lo) * i / 4 for i in range(5)]
+             for lo, hi in ((lo_x, hi_x), (lo_y, hi_y))]
+    mid_y = f"{(_Y0 + _Y1) / 2:.1f}"
+    frame = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        _text(f"{_W / 2:.1f}", 24, 15, title, "middle"),
+        f'<line x1="{_X0}" y1="{_Y0}" x2="{_X1}" y2="{_Y0}" stroke="black"/>',
+        f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" stroke="black"/>',
+        *(_text(f"{_X0 + _offset(tx, lo_x, hi_x, _X1 - _X0):.1f}", _Y0 + 18, 11,
+                f"{tx:.4g}", "middle") for tx in ticks[0]),
+        *(_text(_X0 - 8, f"{_Y0 - _offset(ty, lo_y, hi_y, _Y0 - _Y1) + 4:.1f}", 11,
+                f"{ty:.4g}", "end") for ty in ticks[1]),
+        _text(f"{(_X0 + _X1) / 2:.1f}", _H - 12, 12, xlabel, "middle"),
+        _text(18, mid_y, 12, ylabel, "middle", f' transform="rotate(-90 18 {mid_y})"'),
     ]
+    write_lines(path, chain(frame, marks, ["</svg>"]))
 
 
-def _axes(lo_x, hi_x, lo_y, hi_y, xlabel, ylabel) -> list[str]:
-    parts = []
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
-    for tx in _ticks(lo_x, hi_x):
-        px = x0 + (x1 - x0) * ((tx - lo_x) / (hi_x - lo_x) if hi_x > lo_x else 0)
-        parts.append(
-            f'<text x="{px:.1f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tx:.4g}</text>'
-        )
-    for ty in _ticks(lo_y, hi_y):
-        py = y0 - (y0 - y1) * ((ty - lo_y) / (hi_y - lo_y) if hi_y > lo_y else 0)
-        parts.append(
-            f'<text x="{x0 - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{ty:.4g}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {(y0 + y1) / 2:.1f})">{ylabel}</text>'
-    )
-    return parts
-
-
-def line_chart(
-    path: str | Path,
-    series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
-    title: str,
-    xlabel: str = "step",
-    ylabel: str = "value",
-) -> None:
+def line_chart(path: str | Path, series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
+               title: str, xlabel: str, ylabel: str) -> None:
+    """One polyline and legend row per label; series maps a label to (xs, ys)."""
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys]
     if not xs_all:
@@ -85,75 +72,43 @@ def line_chart(
     lo_y, hi_y = min(ys_all), max(ys_all)
     if hi_y == lo_y:
         hi_y = lo_y + 1.0
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
 
-    def px(x):
-        return x0 + (x1 - x0) * ((x - lo_x) / (hi_x - lo_x) if hi_x > lo_x else 0)
+    def marks():
+        for i, (label, (xs, ys)) in enumerate(series.items()):
+            color, ly = _color(label, i), _Y1 + 16 + 18 * i
+            points = " ".join(f"{_X0 + _offset(x, lo_x, hi_x, _X1 - _X0):.2f},"
+                              f"{_Y0 - _height(y, lo_y, hi_y):.2f}" for x, y in zip(xs, ys))
+            yield (f'<polyline points="{points}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5"/>')
+            yield (f'<line x1="{_X1 + 10}" y1="{ly - 4}" x2="{_X1 + 34}" y2="{ly - 4}" '
+                   f'stroke="{color}" stroke-width="3"/>')
+            yield _text(_X1 + 40, ly, 12, label)
 
-    def py(y):
-        return y0 - (y0 - y1) * (y - lo_y) / (hi_y - lo_y)
-
-    parts = _svg_header(title) + _axes(lo_x, hi_x, lo_y, hi_y, xlabel, ylabel)
-    for i, (label, (xs, ys)) in enumerate(series.items()):
-        color = _color(label, i)
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" '
-            f'stroke-width="1.5"/>'
-        )
-        ly = _MT + 16 + 18 * i
-        parts.append(
-            f'<line x1="{x1 + 10}" y1="{ly - 4}" x2="{x1 + 34}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="3"/>'
-        )
-        parts.append(
-            f'<text x="{x1 + 40}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-    parts.append("</svg>")
-    write_lines(path, parts)
+    _chart(path, title, lo_x, hi_x, lo_y, hi_y, xlabel, ylabel, marks())
 
 
-def bar_chart(
-    path: str | Path,
-    categories: Sequence[str],
-    series: Mapping[str, Sequence[float]],
-    title: str,
-    ylabel: str = "value",
-) -> None:
+def bar_chart(path: str | Path, categories: Sequence[str],
+              series: Mapping[str, Sequence[float]], title: str, ylabel: str) -> None:
     """Grouped bars: one cluster per category, one bar per series label."""
     values = [v for vs in series.values() for v in vs]
     if not values:
         raise ValueError("bar_chart: no data")
-    lo_y, hi_y = 0.0, max(values) * 1.05
-    x0, x1 = _ML, _W - _MR
-    y0, y1 = _H - _MB, _MT
-    parts = _svg_header(title) + _axes(0, len(categories), lo_y, hi_y, "", ylabel)
-    cluster = (x1 - x0) / max(1, len(categories))
+    hi_y = max(values) * 1.05
+    cluster = (_X1 - _X0) / max(1, len(categories))
     width = cluster * 0.8 / max(1, len(series))
-    for ci, cat in enumerate(categories):
-        for si, (label, vals) in enumerate(series.items()):
-            v = vals[ci]
-            h = (y0 - y1) * (v - lo_y) / (hi_y - lo_y)
-            bx = x0 + ci * cluster + cluster * 0.1 + si * width
-            parts.append(
-                f'<rect x="{bx:.2f}" y="{y0 - h:.2f}" width="{width:.2f}" '
-                f'height="{h:.2f}" fill="{_color(label, si)}"/>'
-            )
-        parts.append(
-            f'<text x="{x0 + ci * cluster + cluster / 2:.1f}" y="{y0 + 18}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">{cat}</text>'
-        )
-    for si, label in enumerate(series):
-        ly = _MT + 16 + 18 * si
-        parts.append(
-            f'<rect x="{x1 + 10}" y="{ly - 12}" width="14" height="10" '
-            f'fill="{_color(label, si)}"/>'
-        )
-        parts.append(
-            f'<text x="{x1 + 30}" y="{ly - 2}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
-        )
-    parts.append("</svg>")
-    write_lines(path, parts)
+
+    def marks():
+        for ci, cat in enumerate(categories):
+            for si, (label, vals) in enumerate(series.items()):
+                h = _height(vals[ci], 0.0, hi_y)
+                bx = _X0 + ci * cluster + cluster * 0.1 + si * width
+                yield (f'<rect x="{bx:.2f}" y="{_Y0 - h:.2f}" width="{width:.2f}" '
+                       f'height="{h:.2f}" fill="{_color(label, si)}"/>')
+            yield _text(f"{_X0 + ci * cluster + cluster / 2:.1f}", _Y0 + 18, 11, cat, "middle")
+        for si, label in enumerate(series):
+            ly = _Y1 + 16 + 18 * si
+            yield (f'<rect x="{_X1 + 10}" y="{ly - 12}" width="14" height="10" '
+                   f'fill="{_color(label, si)}"/>')
+            yield _text(_X1 + 30, ly - 2, 12, label)
+
+    _chart(path, title, 0, len(categories), 0.0, hi_y, "", ylabel, marks())

@@ -139,7 +139,7 @@ def test_report_text_rendering(tiny_run):
 def test_report_round_trip(tiny_run):
     _, report, out = tiny_run
     loaded = load_report(out)
-    assert loaded.to_json_dict() == report.to_json_dict()
+    assert loaded == report
 
 
 def test_report_command_prints_report_txt(tiny_run, capsys):
