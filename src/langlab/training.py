@@ -87,8 +87,10 @@ class MetricSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MetricSeries":
-        """The series to_csv wrote; a wrong header, a malformed row or no row
-        at all is an InputError naming the file (and the row's line)."""
+        """The series to_csv wrote; a wrong header, a malformed row, a
+        non-finite loss, perplexity or lr (to_csv writes none: a diverging
+        run logs only the steps before it) or no row at all is an InputError
+        naming the file (and the row's line)."""
         lines = read_text(path).splitlines()
         if not lines or lines[0] != cls.CSV_HEADER:
             raise InputError(f"{path}: unexpected metrics CSV header")
@@ -97,9 +99,10 @@ class MetricSeries:
             try:
                 step, loss, ppl, lr, group, arch, seed = line.split(",")
                 series.group, series.arch, series.seed = group, arch, int(seed)
-                series.records.append(
-                    MetricRecord(int(step), float(loss), float(ppl), float(lr))
-                )
+                record = MetricRecord(int(step), float(loss), float(ppl), float(lr))
+                if not all(map(math.isfinite, (record.loss, record.perplexity, record.lr))):
+                    raise ValueError(f"not finite: loss {loss}, perplexity {ppl}, lr {lr}")
+                series.records.append(record)
             except ValueError as exc:
                 raise InputError(f"{path}: line {line_no}: {exc}") from exc
         if not series.records:

@@ -601,6 +601,8 @@ def bad_inputs(tmp_path_factory):
     for name, rows in (("header", ""), ("word", "1,2.5,12.2,0.1,natural,lstm,1\n"
                                                 "2,low,12.2,0.1,natural,lstm,1\n"),
                        ("short", "1,2.5,12.2\n"),
+                       ("nan", "".join(f"{k},{3 - k / 8},1,0.1,natural,lstm,1\n"
+                                       for k in range(1, 4)) + "4,nan,inf,0.1,natural,lstm,1\n"),
                        ("four", "".join(f"{k},{3 - k / 8},1,0.1,natural,lstm,1\n"
                                         for k in range(1, 5))),
                        ("flat2", "".join(f"{k},2,7.4,0.1,natural,lstm,1\n" for k in range(1, 5))),
@@ -730,6 +732,10 @@ _CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
     pytest.param(["stats", "--a", "{d}/word.csv", "--b", "{d}/word.csv"], cli.EXIT_INPUT,
                  r"^input error: \S*word\.csv: line 3: could not convert string to "
                  r"float: 'low'$", id="stats-csv-not-a-number"),
+    # the last of 4 rows, so it is in the stabilized window
+    pytest.param(["stats", "--a", "{d}/four.csv", "--b", "{d}/nan.csv"], cli.EXIT_INPUT,
+                 r"^input error: \S*nan\.csv: line 5: not finite: loss nan, perplexity "
+                 r"inf, lr 0\.1$", id="stats-csv-not-finite"),
     pytest.param(["stats", "--a", "{d}/short.csv", "--b", "{d}/short.csv"], cli.EXIT_INPUT,
                  r"^input error: \S*short\.csv: line 2: not enough values to unpack",
                  id="stats-csv-short-row"),
