@@ -56,8 +56,9 @@ def _cmd_train(args) -> int:
         cfg.validate()
     vocab, encoded = _encode_corpus(args.corpus)
     model_cfg = models.CONFIG_TYPES[args.arch](vocab=len(vocab), seed=args.seed)
-    if model_cfg.max_seq is not None:  # widened to the corpus's longest sentence
-        model_cfg = replace(model_cfg, max_seq=max(max(map(len, encoded)), model_cfg.max_seq))
+    if model_cfg.max_seq is not None:  # widened to the widest model input, len - 1 ids
+        width = max(map(len, encoded)) - 1
+        model_cfg = replace(model_cfg, max_seq=max(width, model_cfg.max_seq))
     out_dir = Path(args.out_dir)
     series, _ = harness.train_run(model_cfg, encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")

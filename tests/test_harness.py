@@ -472,6 +472,20 @@ def test_cli_train_eval_stats(tmp_path, capsys):
     assert record["t"] == 0.0 and record["p"] == 1.0
 
 
+@pytest.mark.parametrize("words, max_seq", [(15, 16), (16, 17)])
+def test_cli_train_widens_max_seq_to_the_model_input(tmp_path, capsys, words, max_seq):
+    """The model reads a sentence's ids but the last, BOS and words: 15
+    words need 16 positions, the config's floor, and 16 words need 17."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("the girl runs\n" + " ".join(["a"] * words) + "\n")
+    run = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(corpus), "--steps", "1",
+                     "--out-dir", str(run)]) == 0
+    assert load_checkpoint(run / "model.ckpt").config.max_seq == max_seq
+    assert cli.main(["eval", "--checkpoint", str(run / "model.ckpt"),
+                     "--vocab", str(run / "vocab.txt"), "--corpus", str(corpus)]) == 0
+
+
 def test_cli_experiment_and_report(tmp_path, capsys):
     out = tmp_path / "exp"
     code = cli.main([
