@@ -137,7 +137,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             d = 1.0 / d
             delta = d * c
             h *= delta
-        if abs(delta - 1.0) < 3e-14:  # tested after the pair
+        if abs(delta - 1.0) < 3e-14:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
