@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import corpusio, harness, models, stats, tokenizer, training
 from .grammar import GenerationConfig, default_grammar, generate_corpus
 from .harness import ExperimentSpec
 from .training import TrainingConfig
-from .transforms import TransformError, TransformKind, transform_file
+from .transforms import TransformKind, transform_file
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,10 +55,8 @@ def _cmd_train(args) -> int:
     with harness.config_errors():  # the flags, before the corpus is read
         cfg.validate()
     vocab, encoded = _encode_corpus(args.corpus)
-    model_cfg = models.CONFIG_TYPES[args.arch](vocab=len(vocab), seed=args.seed)
-    if model_cfg.max_seq is not None:  # widened to the widest model input, len - 1 ids
-        width = max(map(len, encoded)) - 1
-        model_cfg = replace(model_cfg, max_seq=max(width, model_cfg.max_seq))
+    model_cfg = harness.model_config(ExperimentSpec(arch=args.arch), len(vocab),
+                                     args.seed, encoded)
     out_dir = Path(args.out_dir)
     series, _ = harness.train_run(model_cfg, encoded, cfg, out_dir)
     tokenizer.save_vocabulary(vocab, out_dir / "vocab.txt")
@@ -229,8 +227,7 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (harness.InputError, models.CheckpointError, TransformError,
-            OSError) as exc:  # OSError: a path that cannot be read or written
+    except (harness.InputError, OSError) as exc:  # OSError: a path not read or written
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -10,7 +10,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 from .grammar import Sentence, gc_paused
 
-# read_bytes, make_dir, replacing and write_lines stay out of __all__: perfbench times
+# read_bytes, make_dir, remove, replacing and write_lines stay out of __all__: perfbench times
 # each __all__ function as its module's work, and what they move is the caller's
 __all__ = ["InputError", "write_corpus", "read_corpus", "normalize_line",
            "read_text"]
@@ -20,8 +20,8 @@ _CHUNK_LINES = 8192  # lines joined into one write
 
 
 class InputError(ValueError):
-    """A missing, unreadable or malformed input file, or a file that cannot
-    be written."""
+    """A missing, unreadable or malformed input file or sentence, or a file
+    that cannot be written."""
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> InputError:
@@ -57,6 +57,15 @@ def make_dir(path: str | Path) -> None:
     Every output directory is made here."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
+def remove(path: str | Path) -> None:
+    """Delete file path, if there is one; an OSError, such as a directory in
+    its place, raises InputError naming path."""
+    try:
+        Path(path).unlink(missing_ok=True)
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 

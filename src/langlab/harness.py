@@ -16,6 +16,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ class ExperimentSpec:
                 GenerationConfig(self.corpus_count, self.corpus_seed).validate()
             for seed in self.seeds:
                 dataclasses.replace(self.training, seed=seed).validate()
-                model_config(self, 1, seed).validate()  # the corpus sets the vocab
+                model_config(self, 1, seed).validate()  # the corpus sets vocab and max_seq
         if len(self.groups) >= 2:
             records = self.training.total_steps  # train() logs every step
             samples = len(self.seeds) * (
@@ -200,9 +201,19 @@ def _split_indices(n: int, heldout_fraction: float, seed: int):
     return train, held
 
 
-def model_config(spec: ExperimentSpec, vocab: int, seed: int):
-    """The model config of spec.arch with the spec's model settings."""
-    return models.CONFIG_TYPES[spec.arch](vocab=vocab, seed=seed, **spec.model)
+def model_config(spec: ExperimentSpec, vocab: int, seed: int,
+                 *encodings: list[tuple[int, ...]]):
+    """The model config of spec.arch with the spec's model settings.  Its
+    position limit, if it has one, covers the widest model input of the
+    encoded corpora, a sentence's ids but the last (BOS and the words), and
+    is never below the config's default: a smaller table would change
+    pos_emb's shape and so the draws of every later parameter."""
+    cls = models.CONFIG_TYPES[spec.arch]
+    settings = dict(spec.model)
+    if cls.max_seq is not None:  # None: no position limit
+        widest = max(map(len, chain.from_iterable(encodings)), default=0) - 1
+        settings["max_seq"] = max(cls.max_seq, widest)
+    return cls(vocab=vocab, seed=seed, **settings)
 
 
 def train_run(model_cfg: models.TransformerConfig | models.LstmConfig,
@@ -239,26 +250,11 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
             f"leaves none for training; use a larger corpus"
         )
 
-    max_seq = model_config(spec, 1, 0).max_seq  # None: no position limit
-    if max_seq is not None:
-        # Check every group before any trains.  Each transform changes the
-        # length of every sentence by the same amount, so a longest base
-        # sentence is longest in every group.  The model reads every encoded
-        # token but the last: BOS and the words.
-        longest = max(base, key=len)
-        for group in spec.groups:
-            width = len(apply_transform(GROUP_TRANSFORMS[group], longest)) + 1
-            if width > max_seq:
-                raise ConfigError(
-                    f"group {group}: model input width {width} exceeds max_seq "
-                    f"{max_seq}; raise max_seq"
-                )
-
     out = Path(spec.out_dir)
     for sub in ("corpora", "vocab", "runs", "curves", "tables", "plots"):
         corpusio.make_dir(out / sub)
     for name in ("report.json", "report.txt"):
-        (out / name).unlink(missing_ok=True)
+        corpusio.remove(out / name)
 
     group_results: dict[str, GroupResult] = {}
     all_series: dict[str, list[MetricSeries]] = {}
@@ -317,8 +313,8 @@ def _run_group(spec: ExperimentSpec, group: str, train_sents: list[Sentence],
         cfg = dataclasses.replace(spec.training, seed=seed)
         _log(f"[langlab] training {spec.arch} group={group} seed={seed} "
              f"steps={cfg.total_steps}")
-        series, params = train_run(model_config(spec, len(vocab), seed), enc_train,
-                                   cfg, out / "runs" / group / f"seed{seed}", group)
+        series, params = train_run(model_config(spec, len(vocab), seed, enc_train, enc_held),
+                                   enc_train, cfg, out / "runs" / group / f"seed{seed}", group)
         evals.append(training.evaluate_perplexity(params, enc_held, cfg.batch_size))
         del params  # weights only (train leaves no .grad): free before the next run
         series_list.append(series)
@@ -468,10 +464,10 @@ SPEC_KEYS = {f.name: (cls, f.default)
                                (TrainingConfig, ("seed",)))
              for f in dataclasses.fields(cls) if f.name not in skip}
 
-# arch -> {model key: its default}: the fields of the arch's config but vocab
-# and seed, which each run sets
+# arch -> {model key: its default}: the fields of the arch's config but vocab,
+# seed and max_seq, which each run sets (model_config)
 MODEL_KEYS = {arch: {f.name: f.default for f in dataclasses.fields(cls)
-                     if f.name not in ("vocab", "seed")}
+                     if f.name not in ("vocab", "seed", "max_seq")}
               for arch, cls in models.CONFIG_TYPES.items()}
 
 

@@ -26,6 +26,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import corpusio
+from .corpusio import InputError
 from .numcore import Tape, Tensor
 
 __all__ = [
@@ -36,13 +37,7 @@ __all__ = [
     "forward",
     "save_checkpoint",
     "load_checkpoint",
-    "CheckpointError",
 ]
-
-
-class CheckpointError(ValueError):
-    """A checkpoint file that does not match the binary layout or its config,
-    or that holds NaN or inf."""
 
 
 @dataclass(frozen=True)
@@ -226,13 +221,15 @@ def save_checkpoint(params: ModelParameters, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ModelParameters:
+    """The parameters of a checkpoint file; one that does not match the
+    binary layout or its config, or that holds NaN or inf, raises InputError."""
     blob = memoryview(corpusio.read_bytes(path))
     pos = 0
 
     def take(n: int) -> memoryview:
         nonlocal pos
         if n > len(blob) - pos:
-            raise CheckpointError(
+            raise InputError(
                 f"{path}: truncated at byte offset {pos}: {n} bytes needed, "
                 f"{len(blob) - pos} left"
             )
@@ -247,39 +244,39 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         try:
             return str(data, "utf-8")
         except UnicodeDecodeError as exc:
-            raise CheckpointError(
+            raise InputError(
                 f"{path}: not UTF-8 at byte offset {pos - len(data) + exc.start} "
                 f"({exc.reason})"
             ) from exc
 
     arch = read_str()
     if arch not in CONFIG_TYPES:
-        raise CheckpointError(f"{path}: unknown architecture tag {arch!r}")
+        raise InputError(f"{path}: unknown architecture tag {arch!r}")
     cfg_cls = CONFIG_TYPES[arch]
     raw = {}
     for _ in range(read_u32()):
         key = read_str()
         if key in raw:
-            raise CheckpointError(f"{path}: config {key}: repeated")
+            raise InputError(f"{path}: config {key}: repeated")
         raw[key] = read_str()
     values = {}
     for f in fields(cfg_cls):
         value = raw.pop(f.name, None)
         if value is None:
-            raise CheckpointError(f"{path}: config {f.name}: missing")
+            raise InputError(f"{path}: config {f.name}: missing")
         try:  # every config field is an int
             values[f.name] = int(value)
         except ValueError:
-            raise CheckpointError(
+            raise InputError(
                 f"{path}: config {f.name}: {value!r} does not parse as int") from None
     if raw:
-        raise CheckpointError(
+        raise InputError(
             f"{path}: config {next(iter(raw))}: not a key of the {arch} config")
     config = cfg_cls(**values)
     try:
         shapes = config.param_shapes()
     except ValueError as exc:
-        raise CheckpointError(f"{path}: config: {exc}") from None
+        raise InputError(f"{path}: config: {exc}") from None
     tensors: dict[str, Tensor] = {}
     for _ in range(read_u32()):
         name = read_str()
@@ -287,21 +284,21 @@ def load_checkpoint(path: str | Path) -> ModelParameters:
         dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         if name not in shapes or name in tensors:
             what = "repeated" if name in tensors else f"not a tensor of this {arch} config"
-            raise CheckpointError(f"{path}: tensor {name}: {what}")
+            raise InputError(f"{path}: tensor {name}: {what}")
         if dims != shapes[name]:
-            raise CheckpointError(
+            raise InputError(
                 f"{path}: tensor {name}: shape {dims}, the config needs {shapes[name]}")
         data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
         if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: tensor {name}: holds NaN or inf")
+            raise InputError(f"{path}: tensor {name}: holds NaN or inf")
         tensors[name] = Tensor(data.copy())
     if pos != len(blob):
-        raise CheckpointError(
+        raise InputError(
             f"{path}: {len(blob) - pos} trailing bytes after the last tensor, "
             f"from byte offset {pos}"
         )
     missing = [name for name in shapes if name not in tensors]
     if missing:
-        raise CheckpointError(f"{path}: tensor {missing[0]}: missing")
+        raise InputError(f"{path}: tensor {missing[0]}: missing")
     return ModelParameters(config, tensors)
 

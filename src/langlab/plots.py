@@ -93,7 +93,7 @@ def bar_chart(path: str | Path, categories: Sequence[str],
     values = [v for vs in series.values() for v in vs]
     if not values:
         raise ValueError("bar_chart: no data")
-    hi_y = max(values) * 1.05
+    hi_y = max(values) * 1.05 or 1.0  # all zero: a y axis from 0 to 1
     cluster = (_X1 - _X0) / max(1, len(categories))
     width = cluster * 0.8 / max(1, len(series))
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import enum
 from pathlib import Path
 
-from .corpusio import _checked_lines, _corpus_text, _well_formed, write_lines
+from .corpusio import InputError, _checked_lines, _corpus_text, _well_formed, write_lines
 from .grammar import Sentence
 
 __all__ = [
     "TransformKind",
-    "TransformError",
     "NOT_TOKEN",
     "apply_transform",
     "invert_parity_negation",
@@ -32,33 +31,29 @@ class TransformKind(enum.Enum):
     PARITY_NEGATION = "parity-negation"
 
 
-class TransformError(ValueError):
-    pass
-
-
 def apply_transform(kind: TransformKind, s: Sentence) -> Sentence:
     if not s:
-        raise TransformError("empty input")
+        raise InputError("empty input")
     if NOT_TOKEN in s:
-        raise TransformError("reserved token present")
+        raise InputError("reserved token present")
     if kind is TransformKind.IDENTITY:
         return s
     if kind is TransformKind.REVERSE:
         return Sentence(s[::-1])
     if kind is TransformKind.PARITY_NEGATION:
         return Sentence(s + (NOT_TOKEN,) if len(s) % 2 == 1 else (NOT_TOKEN,) + s)
-    raise TransformError(f"unknown transform kind: {kind!r}")
+    raise InputError(f"unknown transform kind: {kind!r}")
 
 
 def invert_parity_negation(s: Sentence) -> Sentence:
     """Strip the single leading or trailing NOT; inverse of the parity transform."""
     if s.count(NOT_TOKEN) != 1:
-        raise TransformError("not a parity-negation sentence")
+        raise InputError("not a parity-negation sentence")
     if s[-1] == NOT_TOKEN:
         return Sentence(s[:-1])
     if s[0] == NOT_TOKEN:
         return Sentence(s[1:])
-    raise TransformError("not a parity-negation sentence")
+    raise InputError("not a parity-negation sentence")
 
 
 def transform_file(
@@ -76,7 +71,7 @@ def transform_file(
     if NOT_TOKEN in text or not _well_formed(text):  # name the first bad line, if any
         for line_no, words in _checked_lines(in_path, lines):
             if NOT_TOKEN in words:
-                raise TransformError(f"{in_path}: line {line_no}: reserved token present")
+                raise InputError(f"{in_path}: line {line_no}: reserved token present")
     if kind is TransformKind.REVERSE:
         out = (" ".join(line.split(" ")[::-1]) for line in lines if line)
     elif kind is TransformKind.PARITY_NEGATION:  # odd word count: even space count

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from langlab.corpusio import InputError, _not_utf8, normalize_line
 from langlab.grammar import Sentence
-from langlab.transforms import TransformError, apply_transform
+from langlab.transforms import apply_transform
 
 
 def iter_corpus(path, normalize=False):
@@ -48,8 +48,8 @@ def transform_file(kind, in_path, out_path, normalize=False) -> int:
         for count, (line_no, words) in enumerate(iter_corpus(in_path, normalize), 1):
             try:
                 words = apply_transform(kind, Sentence(words))
-            except TransformError as exc:
-                raise TransformError(f"{in_path}: line {line_no}: {exc}") from exc
+            except InputError as exc:
+                raise InputError(f"{in_path}: line {line_no}: {exc}") from exc
             fh.write(" ".join(words))
             fh.write("\n")
     return count

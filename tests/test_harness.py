@@ -206,9 +206,12 @@ def test_spec_validation_errors(tmp_path):
     tiny_spec(tmp_path, corpus_file="x.txt").validate()  # a custom experiment reads it
     tiny_spec(tmp_path, corpus_file="").validate()  # the README's empty corpus_file line
     # a model key is a field of the arch's config, from a Python caller too
-    with pytest.raises(ConfigError, match="^max_seq: a setting of the transformer model, "
+    with pytest.raises(ConfigError, match="^model_dim: a setting of the transformer model, "
                                           "not the lstm$"):
-        tiny_spec(tmp_path, arch="lstm", model={"max_seq": 4}).validate()
+        tiny_spec(tmp_path, arch="lstm", model={"model_dim": 4}).validate()
+    for arch in models.CONFIG_TYPES:  # the corpus sizes the position limit
+        with pytest.raises(ConfigError, match="^unknown spec key: 'max_seq'$"):
+            tiny_spec(tmp_path, arch=arch, model={"max_seq": 4}).validate()
     with pytest.raises(ConfigError, match="^unknown spec key: 'width'$"):
         tiny_spec(tmp_path, model={"width": 4}).validate()
     # 3 logged steps leave 1 stabilized-window sample per seed, 4 leave 2
@@ -338,8 +341,8 @@ def test_readme_spec_keys_match_spec_fields():
     """The README's first spec block names every spec key, and only spec
     keys: the fields of both configs but training, model and the per-run
     seed.  Each block after it names an arch and every model key of that
-    arch: its config's fields but vocab and seed.  Each with the first builds
-    a spec."""
+    arch: its config's fields but vocab, seed and max_seq, which each run
+    sets.  Each with the first builds a spec."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = readme.split("## Experiment spec files", 1)[1].split("```")
     shared, *model_blocks = map(_readme_pairs, blocks[1:2 * len(harness.MODEL_KEYS) + 2:2])
@@ -351,7 +354,8 @@ def test_readme_spec_keys_match_spec_fields():
     for block in model_blocks:
         config = models.CONFIG_TYPES[block["arch"]]
         assert sorted(block) == sorted(
-            {"arch"} | {f.name for f in dataclasses.fields(config)} - {"vocab", "seed"})
+            {"arch"} | {f.name for f in dataclasses.fields(config)}
+            - {"vocab", "seed", "max_seq"})
         spec = build_spec({**shared, **block})
         assert spec.model.keys() == harness.MODEL_KEYS[block["arch"]].keys()
 
@@ -486,6 +490,33 @@ def test_cli_train_widens_max_seq_to_the_model_input(tmp_path, capsys, words, ma
                      "--vocab", str(run / "vocab.txt"), "--corpus", str(corpus)]) == 0
 
 
+def test_the_corpus_sizes_each_groups_position_limit(tmp_path, capsys):
+    """An experiment on a corpus wider than the config's max_seq runs: each
+    group's table covers that group's widest model input, BOS and the words
+    of its training or held-out sentences, and train on the same corpus
+    sizes its table as the natural group's."""
+    corpus = tmp_path / "long.txt"
+    write_corpus(corpus, generate_corpus(default_grammar(), GenerationConfig(60, 3)))
+    with corpus.open("a") as fh:
+        fh.write(" ".join(["the girl runs"] * 5) + "\n" + " ".join(["the"] * 20) + "\n")
+    out = tmp_path / "exp"
+    assert cli.main(["experiment", "--experiment", "2", "--corpus-file", str(corpus),
+                     "--seeds", "1", "--steps", "4", "--out-dir", str(out)]) == 0
+    sized = {}
+    for group in harness.KNOWN_GROUPS:
+        widest = max(len(line.split(" ")) + 1 for part in ("train", "heldout")
+                     for line in (out / "corpora" / f"{group}.{part}.txt").read_text()
+                     .splitlines())
+        sized[group] = load_checkpoint(out / "runs" / group / "seed1" / "model.ckpt"
+                                       ).config.max_seq
+        assert sized[group] == widest
+    assert sized == {"natural": 21, "reversed": 21, "parity-negation": 22}
+    run = tmp_path / "run"
+    assert cli.main(["train", "--corpus", str(corpus), "--steps", "1",
+                     "--out-dir", str(run)]) == 0
+    assert load_checkpoint(run / "model.ckpt").config.max_seq == sized["natural"]
+
+
 def test_cli_experiment_and_report(tmp_path, capsys):
     out = tmp_path / "exp"
     code = cli.main([
@@ -555,7 +586,6 @@ def bad_inputs(tmp_path_factory):
                                               GenerationConfig(count=60, seed=3)))
     (d / "unknown.spec").write_text("bogus_key = 1\n")
     (d / "short.spec").write_text("max_seq = 4\n")
-    (d / "nine.spec").write_text("experiment = 1\nmax_seq = 9\n")
     (d / "heads.spec").write_text("heads = 3\n")
     (d / "lstm-short.spec").write_text("arch = lstm\nmax_seq = 4\n")
     (d / "dim.spec").write_text("model_dim = 32\n")
@@ -564,6 +594,7 @@ def bad_inputs(tmp_path_factory):
     (d / "every.spec").write_text("eval_every = 1\n")
     (d / "count.spec").write_text("corpus_count = 5\n")
     (d / "dir").mkdir()  # a directory where a file is expected
+    (d / "stale" / "report.json").mkdir(parents=True)  # ... where a report is deleted
     (d / "empty.txt").write_text("")
     (d / "blank.txt").write_text("\n\n\n")
     ckpt = d / "good.ckpt"
@@ -641,15 +672,13 @@ _CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
                  cli.EXIT_CONFIG, "unknown spec key: 'bogus_key'", id="unknown-key"),
     pytest.param(["experiment", "--corpus-count", "1", *_TINY_EXPERIMENT],
                  cli.EXIT_CONFIG, "leaves none for training", id="small-corpus"),
-    pytest.param(["experiment", "--spec", "{d}/short.spec", "--corpus-count", "40",
-                  *_TINY_EXPERIMENT],
-                 cli.EXIT_CONFIG, r"input width \d+ exceeds max_seq 4; raise max_seq$",
-                 id="too-long"),
-    pytest.param(["experiment", "--spec", "{d}/nine.spec", "--corpus-count", "40",
-                  "--seeds", "1", "--steps", "4", "--out-dir", "{d}/nine"],
-                 cli.EXIT_CONFIG,
-                 r"group parity-negation: model input width 10 exceeds max_seq 9",
-                 id="too-long-later-group"),
+    # the corpus sizes the position limit: max_seq is no key, whatever the arch
+    pytest.param(["experiment", "--spec", "{d}/short.spec", *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: unknown spec key: 'max_seq'$",
+                 id="max-seq-key"),
+    pytest.param(["experiment", "--spec", "{d}/lstm-short.spec", *_TINY_EXPERIMENT],
+                 cli.EXIT_CONFIG, r"^configuration error: unknown spec key: 'max_seq'$",
+                 id="lstm-max-seq"),
     pytest.param(["experiment", "--experiment", "2", "--corpus-file", "{d}/c.txt",
                   "--seeds", "1", "--steps", "2", "--out-dir", "{d}/few"],
                  cli.EXIT_CONFIG, r"1 stabilized-window sample\(s\) per group",
@@ -710,9 +739,6 @@ _CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
                  r"^configuration error: corpus_count 5 is set, but corpus_file "
                  r"'\S*c\.txt' is read whole$", id="corpus-count-key-with-corpus-file"),
     # a model key of the other architecture, whichever way the arch is set
-    pytest.param(["experiment", "--spec", "{d}/lstm-short.spec", *_TINY_EXPERIMENT],
-                 cli.EXIT_CONFIG, r"^configuration error: max_seq: a setting of the "
-                 r"transformer model, not the lstm$", id="lstm-max-seq"),
     pytest.param(["experiment", "--experiment", "3", "--spec", "{d}/dim.spec",
                   *_TINY_EXPERIMENT],
                  cli.EXIT_CONFIG, r"^configuration error: model_dim: a setting of the "
@@ -892,6 +918,12 @@ _CANNOT_WRITE_DIR = r"^input error: \S*/dir: cannot write \(Is a directory\)$"
                  cli.EXIT_INPUT,
                  r"^input error: \S*c\.txt/corpora: cannot write \(Not a directory\)$",
                  id="experiment-out-dir-file"),
+    # ... a directory where an earlier run's report is deleted
+    pytest.param(["experiment", "--corpus-count", "40", "--seeds", "1", "--steps", "4",
+                  "--out-dir", "{d}/stale"],
+                 cli.EXIT_INPUT,
+                 r"^input error: \S*stale/report\.json: cannot write \(Is a directory\)$",
+                 id="experiment-stale-report-dir"),
     # ... a missing file
     pytest.param(["stats", "--a", "{d}/absent.csv", "--b", "{d}/four.csv"], cli.EXIT_INPUT,
                  r"^input error: \S*absent\.csv: cannot read \(No such file or directory\)$",
@@ -946,23 +978,15 @@ def test_cli_write_fault_names_the_file(bad_inputs):
     assert not list(out.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("argv, code", [
-    pytest.param(["experiment", "--spec", "{d}/short.spec", "--arch", "lstm",
-                  "--corpus-count", "40", "--seeds", "1", "--steps", "4",
-                  "--out-dir", "{d}/lstm-short"], cli.EXIT_CONFIG, id="experiment-max-seq-4"),
+@pytest.mark.parametrize("argv", [
     pytest.param(["eval", "--checkpoint", "{d}/good.ckpt", "--vocab", "{d}/eight.vocab",
-                  "--corpus", "{d}/long.txt"], cli.EXIT_OK, id="eval-long-lines"),
+                  "--corpus", "{d}/long.txt"], id="eval-long-lines"),
 ])
-def test_lstm_has_no_position_limit(bad_inputs, capsys, argv, code):
-    """max_seq is the transformer's alone: the spec of the too-long case is a
-    configuration error on an LSTM, which writes nothing, and the corpus of
-    the eval-too-long case runs on one."""
-    assert cli.main([a.format(d=bad_inputs) for a in argv]) == code
-    if argv[0] == "eval":  # each word and EOS of long.txt is predicted: 3 + 26
-        assert "tokens=29" in capsys.readouterr().out
-    else:
-        assert "max_seq: a setting of the transformer model" in capsys.readouterr().err
-        assert not (bad_inputs / "lstm-short").exists()
+def test_lstm_has_no_position_limit(bad_inputs, capsys, argv):
+    """max_seq is the transformer's alone: the corpus of the eval-too-long
+    case runs on an LSTM checkpoint."""
+    assert cli.main([a.format(d=bad_inputs) for a in argv]) == cli.EXIT_OK
+    assert "tokens=29" in capsys.readouterr().out  # each word and EOS: 3 + 26
 
 
 _FLAG_VALUES = st.one_of(st.integers(-3, 9).map(str),

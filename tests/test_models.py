@@ -13,7 +13,6 @@ import pytest
 
 from langlab.corpusio import InputError
 from langlab.models import (
-    CheckpointError,
     LstmConfig,
     ModelParameters,
     TransformerConfig,
@@ -461,7 +460,7 @@ def test_checkpoint_rejects_unknown_arch(tmp_path):
 def test_checkpoint_rejects_non_utf8_string(tmp_path, body, offset, reason):
     path = tmp_path / "latin.ckpt"
     path.write_bytes(body)
-    with pytest.raises(CheckpointError,
+    with pytest.raises(InputError,
                        match=rf"latin\.ckpt: not UTF-8 at byte offset {offset} \({reason}\)$"):
         load_checkpoint(path)
 
@@ -470,7 +469,7 @@ def test_checkpoint_rejects_invalid_config_and_repeated_tensor(tmp_path):
     bad = TransformerConfig(layers=1, model_dim=4, heads=3, ff_dim=4, max_seq=4, vocab=8)
     path = tmp_path / "heads.ckpt"
     save_checkpoint(ModelParameters(bad, {}), path)
-    with pytest.raises(CheckpointError,
+    with pytest.raises(InputError,
                        match=r"heads\.ckpt: config: model_dim 4 not divisible by heads 3$"):
         load_checkpoint(path)
     path = tmp_path / "twice.ckpt"
@@ -480,7 +479,7 @@ def test_checkpoint_rejects_invalid_config_and_repeated_tensor(tmp_path):
     (count,) = struct.unpack_from("<I", blob, first - 4)
     path.write_bytes(blob[:first - 4] + struct.pack("<I", count + 1) + blob[first:]
                      + blob[last:])
-    with pytest.raises(CheckpointError, match=r"twice\.ckpt: tensor out\.b: repeated$"):
+    with pytest.raises(InputError, match=r"twice\.ckpt: tensor out\.b: repeated$"):
         load_checkpoint(path)
 
 
@@ -501,7 +500,7 @@ class _TransformerConfigTaggedLstm(TransformerConfig):
 def test_checkpoint_config_keys_are_the_configs_fields(tmp_path, config, message):
     path = tmp_path / "keys.ckpt"
     save_checkpoint(ModelParameters(config, {}), path)
-    with pytest.raises(CheckpointError, match=rf"keys\.ckpt: {message}$"):
+    with pytest.raises(InputError, match=rf"keys\.ckpt: {message}$"):
         load_checkpoint(path)
 
 
@@ -513,5 +512,5 @@ def test_checkpoint_rejects_repeated_config_key(tmp_path):
     (count,) = struct.unpack_from("<I", blob, at - 4)
     pair = b"".join(struct.pack("<I", len(t)) + t for t in (b"vocab", b"16"))
     path.write_bytes(blob[:at - 4] + struct.pack("<I", count + 1) + pair + blob[at:])
-    with pytest.raises(CheckpointError, match=r"twice\.ckpt: config vocab: repeated$"):
+    with pytest.raises(InputError, match=r"twice\.ckpt: config vocab: repeated$"):
         load_checkpoint(path)

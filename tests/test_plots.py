@@ -30,6 +30,7 @@ _DIGESTS = {
     "near-constant": "fbf78076e6156e34cad9dddf1370095425a8a15bc2151adc3e883720823980cd",
     "six-labels": "e57bca28affcf8363d76aa61170479899cf15ea185eb417ba781cb60e9ec1a18",
     "bar": "55c98d28373ff9e9f7891b7605fb624567bbfb70d94b037c117cba014d790eab",
+    "bar-zero": "68ec6f6db5a90804b9714b98d7266bb1789aee7df3b3b550d1962976eb2b62fe",
 }
 
 
@@ -50,6 +51,16 @@ def test_bar_chart_bytes(tmp_path):
               {"final": [12.5, 30.25, 18.0], "minimum": [11.0, 29.5, 17.75]},
               "Final and minimum perplexity (mean over seeds)", "perplexity")
     assert _digest(path) == _DIGESTS["bar"]
+
+
+def test_bar_chart_all_zero_bytes(tmp_path):
+    """All-zero values: a zero-height y range, widened to [0, 1], and every
+    bar 0 pixels high."""
+    path = tmp_path / "bars.svg"
+    bar_chart(path, list(_GROUPS), {"final": [0.0] * 3, "minimum": [0.0] * 3},
+              "Final and minimum perplexity (mean over seeds)", "perplexity")
+    assert path.read_text().count('height="0.00"') == 6
+    assert _digest(path) == _DIGESTS["bar-zero"]
 
 
 def test_no_data_is_refused(tmp_path):

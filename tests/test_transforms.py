@@ -12,7 +12,6 @@ from langlab.grammar import GenerationConfig, Sentence, generate_corpus
 from langlab.tokenizer import build_vocabulary, encode, encode_corpus
 from langlab.transforms import (
     NOT_TOKEN,
-    TransformError,
     TransformKind,
     apply_transform,
     invert_parity_negation,
@@ -58,24 +57,24 @@ def test_identity_returns_same_sentence():
 
 
 def test_empty_input_rejected():
-    with pytest.raises(TransformError, match="empty input"):
+    with pytest.raises(InputError, match="empty input"):
         apply_transform(TransformKind.REVERSE, Sentence(()))
 
 
 def test_reserved_token_rejected():
-    with pytest.raises(TransformError, match="reserved token present"):
+    with pytest.raises(InputError, match="reserved token present"):
         apply_transform(TransformKind.IDENTITY, sent("the girl is given cats NOT"))
 
 
 def test_invert_rejects_interior_not():
-    with pytest.raises(TransformError, match="not a parity-negation"):
+    with pytest.raises(InputError, match="not a parity-negation"):
         invert_parity_negation(sent("the NOT girl runs"))
 
 
 def test_invert_rejects_zero_or_multiple():
-    with pytest.raises(TransformError):
+    with pytest.raises(InputError):
         invert_parity_negation(sent("the girl runs"))
-    with pytest.raises(TransformError):
+    with pytest.raises(InputError):
         invert_parity_negation(sent("NOT the girl runs NOT"))
 
 
@@ -200,11 +199,11 @@ def test_write_lines_replaces_the_file_only_once_every_line_is_written(tmp_path)
 
     def failing(count):
         yield from (f"new {i}" for i in range(count))
-        raise TransformError("bad line")
+        raise InputError("bad line")
 
     # in the first chunk, and in the second, after a whole chunk was written
     for count in (1, 10_000):
-        with pytest.raises(TransformError, match="bad line"):
+        with pytest.raises(InputError, match="bad line"):
             write_lines(path, failing(count))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
